@@ -86,7 +86,8 @@ struct Fleet {
             cfg.hot_cache.shards = 1;
             cfg.disk_cache_dir = disk_root / ("shard" + std::to_string(i));
             auto svc = std::make_unique<service::SurveyService>(cfg);
-            endpoints.push_back({"s" + std::to_string(i), "127.0.0.1",
+            // append: GCC 12's -Wrestrict misfires on `"s" + std::string`.
+            endpoints.push_back({std::string{"s"}.append(std::to_string(i)), "127.0.0.1",
                                  static_cast<std::uint16_t>(9100 + i)});
             transport.add_endpoint(
                 endpoints.back().address(),

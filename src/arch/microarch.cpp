@@ -99,6 +99,9 @@ const MicroarchParams& params_for(Generation g) {
         case Generation::HaswellEP:
         case Generation::HaswellHE:
             return haswell_ep_params();
+        case Generation::SkylakeSP:
+            // No Skylake-SP table yet: it reports the Haswell-EP parameters.
+            return haswell_ep_params();
     }
     return haswell_ep_params();
 }

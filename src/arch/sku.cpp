@@ -62,6 +62,8 @@ const Sku& xeon_e5_2680_v3() {
         // "AVX turbo frequencies are between 2.8 and 3.1 GHz, depending on the
         // number of active cores" (Section II-F).
         .avx_turbo_bins = ghz_bins({3.1, 3.1, 3.0, 3.0, 2.9, 2.9, 2.9, 2.8, 2.8, 2.8, 2.8, 2.8}),
+        .avx512_base_frequency = Frequency::zero(),
+        .avx512_turbo_bins = {},
         .uncore_min = G(1.2),
         .uncore_max = G(3.0),
         .l3_bytes = 12ull * 5ull * 512ull * 1024ull,  // 30 MiB = 12 x 2.5 MiB
@@ -81,6 +83,8 @@ const Sku& xeon_e5_2667_v3() {
         .turbo_bins = ghz_bins({3.6, 3.6, 3.5, 3.5, 3.4, 3.4, 3.4, 3.4}),
         .avx_base_frequency = G(2.7),
         .avx_turbo_bins = ghz_bins({3.5, 3.5, 3.4, 3.4, 3.3, 3.3, 3.2, 3.2}),
+        .avx512_base_frequency = Frequency::zero(),
+        .avx512_turbo_bins = {},
         .uncore_min = G(1.2),
         .uncore_max = G(3.0),
         .l3_bytes = 8ull * 5ull * 512ull * 1024ull,  // 20 MiB
@@ -102,6 +106,8 @@ const Sku& xeon_e5_2699_v3() {
         .avx_base_frequency = G(1.9),
         .avx_turbo_bins = ghz_bins({3.4, 3.4, 3.2, 3.1, 3.0, 2.9, 2.8, 2.7, 2.7, 2.6, 2.6,
                                     2.6, 2.6, 2.6, 2.6, 2.6, 2.6, 2.6}),
+        .avx512_base_frequency = Frequency::zero(),
+        .avx512_turbo_bins = {},
         .uncore_min = G(1.2),
         .uncore_max = G(3.0),
         .l3_bytes = 18ull * 5ull * 512ull * 1024ull,  // 45 MiB
@@ -123,6 +129,8 @@ const Sku& core_i7_4770() {
         // nominal clock is guaranteed.
         .avx_base_frequency = G(3.4),
         .avx_turbo_bins = {},
+        .avx512_base_frequency = Frequency::zero(),
+        .avx512_turbo_bins = {},
         .uncore_min = G(0.8),
         .uncore_max = G(3.4),
         .l3_bytes = 8ull * 1024ull * 1024ull,
@@ -144,6 +152,8 @@ const Sku& xeon_e5_2670() {
         // the concept was introduced with Haswell).
         .avx_base_frequency = G(2.6),
         .avx_turbo_bins = {},
+        .avx512_base_frequency = Frequency::zero(),
+        .avx512_turbo_bins = {},
         .uncore_min = G(1.2),
         .uncore_max = G(2.6),  // uncore is clocked with the cores
         .l3_bytes = 20ull * 1024ull * 1024ull,
@@ -164,6 +174,8 @@ const Sku& xeon_e5_2690_v2() {
         // Like Sandy Bridge, no separate AVX frequency level yet.
         .avx_base_frequency = G(3.0),
         .avx_turbo_bins = {},
+        .avx512_base_frequency = Frequency::zero(),
+        .avx512_turbo_bins = {},
         .uncore_min = G(1.2),
         .uncore_max = G(3.0),  // uncore is clocked with the cores
         .l3_bytes = 25ull * 1024ull * 1024ull,
@@ -211,6 +223,8 @@ const Sku& xeon_x5670() {
         .turbo_bins = ghz_bins({3.33, 3.33, 3.06, 3.06, 3.06, 3.06}),
         .avx_base_frequency = G(2.93),
         .avx_turbo_bins = {},
+        .avx512_base_frequency = Frequency::zero(),
+        .avx512_turbo_bins = {},
         .uncore_min = G(2.66),
         .uncore_max = G(2.66),  // fixed uncore clock
         .l3_bytes = 12ull * 1024ull * 1024ull,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "arch/calibration.hpp"
 #include "msr/addresses.hpp"
@@ -72,23 +73,25 @@ void Node::schedule_pcu_grid(unsigned socket_id, Time first) {
     sim_.schedule_at(first, [this, socket_id] {
         const Time now = sim_.now();
         sync();
-        trace_.record(now, "pcu", "socket" + std::to_string(socket_id), "opportunity");
-        auto out = sockets_[socket_id]->pcu_tick(now, any_core_active_in_system(),
-                                                 fastest_system_core());
-        if (out.has_value()) {
+        Socket& socket = *sockets_[socket_id];
+        trace_.record(now, "pcu", socket.name(), "opportunity");
+        if (socket.pcu_tick(now, any_core_active_in_system(), fastest_system_core()) !=
+            nullptr) {
+            // The grant waits in the socket, so the apply event captures
+            // only (this, socket_id) and stays in the callback's inline
+            // buffer.
+            socket.stage_grants();
             const double switch_us = rng_.uniform(cal::kPstateSwitchTimeMin.as_us(),
                                                   cal::kPstateSwitchTimeMax.as_us());
-            sim_.schedule_after(Time::from_us(switch_us),
-                                [this, socket_id, grants = *out] {
-                                    sync();
-                                    sockets_[socket_id]->apply_grants(grants);
-                                    trace_.record(sim_.now(), "pstate",
-                                                  "socket" + std::to_string(socket_id),
-                                                  "change complete",
-                                                  grants.cores.empty()
-                                                      ? 0.0
-                                                      : grants.cores[0].frequency.as_ghz());
-                                });
+            auto apply = [this, socket_id] {
+                sync();
+                Socket& s = *sockets_[socket_id];
+                s.apply_staged_grants();
+                trace_.record(sim_.now(), "pstate", s.name(), "change complete",
+                              s.cores().front().frequency.as_ghz());
+            };
+            static_assert(sim::Simulator::Callback::fits_inline<decltype(apply)>);
+            sim_.schedule_after(Time::from_us(switch_us), std::move(apply));
         }
         // Next opportunity: ~500 us later with a little grid jitter.
         const double jitter_us = rng_.uniform(-cal::kPstateOpportunityJitter.as_us(),
@@ -166,10 +169,11 @@ void Node::install_msrs() {
                 const unsigned sid = socket_of(cpu);
                 sim_.schedule_after(cal::kLegacyPstateSwitchTime, [this, sid] {
                     sync();
-                    auto out = sockets_[sid]->pcu_tick(sim_.now(),
-                                                       any_core_active_in_system(),
-                                                       fastest_system_core());
-                    if (out.has_value()) sockets_[sid]->apply_grants(*out);
+                    Socket& socket = *sockets_[sid];
+                    if (const auto* out = socket.pcu_tick(
+                            sim_.now(), any_core_active_in_system(), fastest_system_core())) {
+                        socket.apply_grants(*out);
+                    }
                 });
             }
         });
@@ -238,8 +242,7 @@ void Node::install_msrs() {
             [this](unsigned cpu, std::uint64_t value) {
                 sync();
                 sockets_[socket_of(cpu)]->set_hwp_enabled((value & 1) != 0);
-                trace_.record(sim_.now(), "hwp",
-                              "socket" + std::to_string(socket_of(cpu)),
+                trace_.record(sim_.now(), "hwp", sockets_[socket_of(cpu)]->name(),
                               (value & 1) != 0 ? "enable" : "disable");
             });
         msrs_.register_msr(msr::IA32_HWP_CAPABILITIES, [this](unsigned) {
@@ -389,10 +392,7 @@ cstates::CState Node::core_state(unsigned cpu) const {
 }
 
 cstates::PackageCState Node::package_state(unsigned socket) const {
-    std::vector<cstates::CState> states;
-    states.reserve(sku_->cores);
-    for (const SimCore& c : sockets_[socket]->cores()) states.push_back(c.state);
-    return cstates::resolve_package_state(states, any_core_active_in_system());
+    return sockets_[socket]->package_state(any_core_active_in_system());
 }
 
 // --- observation ------------------------------------------------------------

@@ -1,7 +1,10 @@
 #include "core/socket.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <span>
+#include <string>
 
 #include "arch/calibration.hpp"
 #include "platform/registry.hpp"
@@ -16,10 +19,15 @@ Socket::Socket(const arch::Sku& sku, unsigned socket_id, bool turbo_enabled,
                rapl::DramMode dram_mode, std::uint64_t seed)
     : sku_{&sku},
       id_{socket_id},
+      name_{"socket" + std::to_string(socket_id)},
       topo_{arch::make_die_topology(sku.cores)},
       pcu_{sku, socket_id, &platform::backend_for(sku.generation).pcu_policy()},
       rapl_{sku.generation, socket_id, dram_mode, seed},
       bw_model_{sku.generation, sku.cores},
+      dram_peak_gbs_{bw_model_
+                         .dram_read(mem::ConcurrencyConfig{sku.cores, 2},
+                                    sku.nominal_frequency, sku.uncore_max)
+                         .as_gb_per_sec()},
       thermal_{},
       cores_(sku.cores),
       turbo_enabled_{turbo_enabled},
@@ -38,18 +46,18 @@ Socket::Socket(const arch::Sku& sku, unsigned socket_id, bool turbo_enabled,
     }
 }
 
-pcu::PcuInputs Socket::build_pcu_inputs(Time now, bool system_active,
-                                        Frequency fastest_system_core) const {
-    pcu::PcuInputs in;
+void Socket::fill_pcu_inputs(Time now, bool system_active,
+                             Frequency fastest_system_core) {
+    pcu::PcuInputs& in = pcu_in_;
     in.cores.resize(cores_.size());
     double traffic = 0.0;
     double current_intensity = 0.0;
     for (std::size_t i = 0; i < cores_.size(); ++i) {
         const SimCore& c = cores_[i];
         auto& ci = in.cores[i];
-        ci.state = c.state;
-        ci.requested_ratio = c.requested_ratio;
-        ci.hwp_request_raw = c.hwp_request_raw;
+        ci = pcu::CoreInputs{.state = c.state,
+                             .requested_ratio = c.requested_ratio,
+                             .hwp_request_raw = c.hwp_request_raw};
         if (c.state == cstates::CState::C0 && c.workload != nullptr) {
             const bool ht = c.threads >= 2;
             ci.avx_fraction = c.workload->avx_fraction;
@@ -66,15 +74,14 @@ pcu::PcuInputs Socket::build_pcu_inputs(Time now, bool system_active,
     in.current_intensity = current_intensity;
     in.system_active = system_active;
     in.fastest_system_core = fastest_system_core;
-    if (const auto limit = rapl_.active_power_limit()) {
-        in.power_limit_watts = limit->as_watts();
-    }
+    const auto limit = rapl_.active_power_limit();
+    in.power_limit_watts = limit ? limit->as_watts() : 0.0;
     in.uncore_ratio_limit_raw = uncore_ratio_limit_raw_;
     in.hwp_enabled = hwp_enabled_;
     in.hwp_request_pkg_raw = hwp_request_pkg_raw_;
-    return in;
 }
 
+// hsw:hot-path -- runs for every socket on every sync (several per PCU tick).
 void Socket::advance_to(Time now) {
     const Time dt = now - last_update_;
     if (dt <= Time::zero()) {
@@ -82,63 +89,80 @@ void Socket::advance_to(Time now) {
         return;
     }
     const double seconds = dt.as_seconds();
-
-    // --- core counters ---
     const double tsc_ticks = sku_->nominal_frequency.as_hz() * seconds;
+    const bool uncore_running = uncore_freq_ > Frequency::zero();
+
+    // One pass over the cores feeds the counters, the package power (at the
+    // operating point that held since last_update_), the uncore traffic,
+    // the DRAM demand and the RAPL activity vector. Each accumulator still
+    // sums in core order, so every result is bit-identical to evaluating
+    // current_package_power(), current_dram_traffic() and the counters
+    // separately.
+    Power pkg = power::socket_static_power();
+    double traffic = 0.0;
+    double dram_demand = 0.0;
+    rapl::ActivityVector av;
     for (SimCore& c : cores_) {
         if (c.state == cstates::CState::C3) c.c3_residency += tsc_ticks;
         if (c.state == cstates::CState::C6) c.c6_residency += tsc_ticks;
+        pkg += core_power_at(c, last_update_);
         if (c.state != cstates::CState::C0) continue;
+
         const double cycles = c.frequency.as_hz() * seconds;
         c.aperf += cycles;
         c.core_cycles += cycles;
         c.mperf += sku_->nominal_frequency.as_hz() * seconds;
-        if (c.workload != nullptr) {
-            const bool ht = c.threads >= 2;
-            const double ratio =
-                uncore_freq_ > Frequency::zero() ? c.frequency / uncore_freq_ : 1.0;
-            const double ipc = c.workload->ipc(ratio, ht) * c.throughput_factor;
-            c.instructions += ipc * cycles;
-            c.stall_cycles += c.workload->stall_fraction * cycles;
-        }
+        if (c.workload == nullptr) continue;
+
+        const double ratio = uncore_running ? c.frequency / uncore_freq_ : 1.0;
+        const double ipc = c.workload->ipc(ratio, c.threads >= 2);
+        c.instructions += ipc * c.throughput_factor * cycles;
+        c.stall_cycles += c.workload->stall_fraction * cycles;
+
+        traffic += c.workload->uncore_traffic;
+        dram_demand += dram_demand_gbs(c);
+
+        const double f = c.frequency.as_hz();
+        av.core_cycles_per_s += f;
+        av.uops_per_s += ipc * f * 1.12;  // fused-uop expansion estimate
+        av.avx_ops_per_s += ipc * f * c.workload->avx_fraction;
     }
 
-    // --- uncore clock counter ---
-    if (!uncore_halted_) uncore_cycles_ += uncore_freq_.as_hz() * seconds;
+    // --- uncore clock counter and power ---
+    if (!uncore_halted_) {
+        uncore_cycles_ += uncore_freq_.as_hz() * seconds;
+        pkg += uncore_power_for(traffic);
+        av.uncore_cycles_per_s = uncore_freq_.as_hz();
+    }
 
     // --- package C-state residency ---
-    {
-        std::vector<cstates::CState> states;
-        states.reserve(cores_.size());
-        for (const SimCore& c : cores_) states.push_back(c.state);
-        const auto pkg = cstates::resolve_package_state(states, system_active_hint_);
-        if (pkg == cstates::PackageCState::PC3) pkg_c3_residency_ += tsc_ticks;
-        if (pkg == cstates::PackageCState::PC6) pkg_c6_residency_ += tsc_ticks;
-    }
+    const auto pkg_state = package_state(system_active_hint_);
+    if (pkg_state == cstates::PackageCState::PC3) pkg_c3_residency_ += tsc_ticks;
+    if (pkg_state == cstates::PackageCState::PC6) pkg_c6_residency_ += tsc_ticks;
 
     // --- energy ---
-    const Power pkg = current_package_power(last_update_);
-    const Power dram = current_dram_power();
-    rapl_.integrate(pkg, dram, activity_vector(last_update_), dt);
+    const Bandwidth dram_traffic = dram_traffic_for(dram_demand);
+    av.dram_gbs = dram_traffic.as_gb_per_sec();
+    rapl_.integrate(pkg, power::dram_power(dram_traffic), av, dt);
     thermal_.advance(pkg, dt);
 
     last_update_ = now;
 }
+// hsw:end-hot-path
 
-std::optional<pcu::PcuOutputs> Socket::pcu_tick(Time now, bool system_active,
-                                                Frequency fastest_system_core) {
-    const pcu::PcuInputs in = build_pcu_inputs(now, system_active, fastest_system_core);
-    pcu::PcuOutputs out = pcu_.evaluate(in, now);
+const pcu::PcuOutputs* Socket::pcu_tick(Time now, bool system_active,
+                                        Frequency fastest_system_core) {
+    fill_pcu_inputs(now, system_active, fastest_system_core);
+    pcu_.evaluate(pcu_in_, now, tick_);
 
     // Suppress the apply event when nothing changes (common in steady state).
-    bool changed = out.uncore_frequency != uncore_freq_ ||
-                   out.uncore_clock_halted != uncore_halted_;
+    bool changed = tick_.uncore_frequency != uncore_freq_ ||
+                   tick_.uncore_clock_halted != uncore_halted_;
     for (std::size_t i = 0; i < cores_.size() && !changed; ++i) {
-        changed = out.cores[i].frequency != cores_[i].frequency ||
-                  out.cores[i].throughput_factor != cores_[i].throughput_factor;
+        changed = tick_.cores[i].frequency != cores_[i].frequency ||
+                  tick_.cores[i].throughput_factor != cores_[i].throughput_factor;
     }
-    if (!changed) return std::nullopt;
-    return out;
+    return changed ? &tick_ : nullptr;
 }
 
 void Socket::apply_grants(const pcu::PcuOutputs& out) {
@@ -153,6 +177,13 @@ void Socket::apply_grants(const pcu::PcuOutputs& out) {
     uncore_voltage_ = out.uncore_voltage;
     uncore_halted_ = out.uncore_clock_halted;
     die_uncore_ = out.die_uncore_frequency;
+}
+
+cstates::PackageCState Socket::package_state(bool any_core_active_in_system) const {
+    std::array<cstates::CState, pcu::PcuController::kMaxCores> states{};
+    for (std::size_t i = 0; i < cores_.size(); ++i) states[i] = cores_[i].state;
+    return cstates::resolve_package_state(std::span{states.data(), cores_.size()},
+                                          any_core_active_in_system);
 }
 
 Frequency Socket::fastest_active_core() const {
@@ -176,29 +207,39 @@ unsigned Socket::active_core_count() const {
         }));
 }
 
+Power Socket::core_power_at(const SimCore& c, Time t) const {
+    const bool running = c.state == cstates::CState::C0;
+    const power::CoreActivity activity{
+        .cdyn_utilization = (running && c.workload != nullptr)
+                                ? c.workload->cdyn_at(t, c.threads >= 2)
+                                : 0.0,
+        .clock_running = running,
+        .power_gated = cstates::power_gated(c.state),
+    };
+    return power::core_power(activity, c.voltage, c.frequency);
+}
+
+Power Socket::uncore_power_for(double traffic_sum) const {
+    const double traffic = std::min(1.0, traffic_sum / static_cast<double>(cores_.size()));
+    return power::uncore_power(traffic, uncore_voltage_, uncore_freq_);
+}
+
+double Socket::dram_demand_gbs(const SimCore& c) const {
+    const double scale = c.frequency / sku_->nominal_frequency;
+    const double ht = c.threads >= 2 ? 1.15 : 1.0;
+    return c.workload->dram_gbs_per_core * scale * ht;
+}
+
 Power Socket::current_package_power(Time now) const {
     Power total = power::socket_static_power();
+    double traffic = 0.0;
     for (const SimCore& c : cores_) {
-        const bool running = c.state == cstates::CState::C0;
-        const power::CoreActivity activity{
-            .cdyn_utilization = (running && c.workload != nullptr)
-                                    ? c.workload->cdyn_at(now, c.threads >= 2)
-                                    : 0.0,
-            .clock_running = running,
-            .power_gated = cstates::power_gated(c.state),
-        };
-        total += power::core_power(activity, c.voltage, c.frequency);
-    }
-    if (!uncore_halted_) {
-        double traffic = 0.0;
-        for (const SimCore& c : cores_) {
-            if (c.state == cstates::CState::C0 && c.workload != nullptr) {
-                traffic += c.workload->uncore_traffic;
-            }
+        total += core_power_at(c, now);
+        if (c.state == cstates::CState::C0 && c.workload != nullptr) {
+            traffic += c.workload->uncore_traffic;
         }
-        traffic = std::min(1.0, traffic / static_cast<double>(cores_.size()));
-        total += power::uncore_power(traffic, uncore_voltage_, uncore_freq_);
     }
+    if (!uncore_halted_) total += uncore_power_for(traffic);
     return total;
 }
 
@@ -206,15 +247,9 @@ Bandwidth Socket::current_dram_traffic() const {
     double demand = 0.0;
     for (const SimCore& c : cores_) {
         if (c.state != cstates::CState::C0 || c.workload == nullptr) continue;
-        const double scale = c.frequency / sku_->nominal_frequency;
-        const double ht = c.threads >= 2 ? 1.15 : 1.0;
-        demand += c.workload->dram_gbs_per_core * scale * ht;
+        demand += dram_demand_gbs(c);
     }
-    const double peak =
-        bw_model_.dram_read(mem::ConcurrencyConfig{sku_->cores, 2},
-                            sku_->nominal_frequency, sku_->uncore_max)
-            .as_gb_per_sec();
-    return Bandwidth::gb_per_sec(std::min(demand, peak));
+    return dram_traffic_for(demand);
 }
 
 Power Socket::current_dram_power() const {
@@ -242,23 +277,6 @@ mem::ConcurrencyConfig Socket::concurrency() const {
     }
     cfg.cores = std::max(cfg.cores, 1u);
     return cfg;
-}
-
-rapl::ActivityVector Socket::activity_vector(Time now) const {
-    rapl::ActivityVector av;
-    for (const SimCore& c : cores_) {
-        if (c.state != cstates::CState::C0 || c.workload == nullptr) continue;
-        const double f = c.frequency.as_hz();
-        const double ratio = uncore_freq_ > Frequency::zero() ? c.frequency / uncore_freq_ : 1.0;
-        const double ipc = c.workload->ipc(ratio, c.threads >= 2);
-        av.core_cycles_per_s += f;
-        av.uops_per_s += ipc * f * 1.12;  // fused-uop expansion estimate
-        av.avx_ops_per_s += ipc * f * c.workload->avx_fraction;
-        (void)now;
-    }
-    av.dram_gbs = current_dram_traffic().as_gb_per_sec();
-    if (!uncore_halted_) av.uncore_cycles_per_s = uncore_freq_.as_hz();
-    return av;
 }
 
 }  // namespace hsw::core

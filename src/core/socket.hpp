@@ -6,8 +6,11 @@
 // time, which is what the FTaLaT-style tools measure.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <optional>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "arch/sku.hpp"
@@ -73,16 +76,27 @@ public:
     /// current operating point, then remember `now`.
     void advance_to(Time now);
 
-    /// One PCU opportunity-grid evaluation. Returns the grants to apply
-    /// after the switching delay (nullopt when nothing changes).
-    [[nodiscard]] std::optional<pcu::PcuOutputs> pcu_tick(Time now, bool system_active,
-                                                          Frequency fastest_system_core);
+    /// One PCU opportunity-grid evaluation into the socket's reused tick
+    /// buffer. Returns the grants when they change the operating point,
+    /// else null; the pointee stays valid until the next pcu_tick().
+    [[nodiscard]] const pcu::PcuOutputs* pcu_tick(Time now, bool system_active,
+                                                  Frequency fastest_system_core);
 
-    /// Apply previously computed grants (called at tick + switching time).
+    /// Apply grants now (the legacy immediate-switch path).
     void apply_grants(const pcu::PcuOutputs& out);
+
+    /// Move the last pcu_tick()'s grants into the socket's pending slot,
+    /// to be applied after the switching delay. A socket has at most one
+    /// pending grant: a switch (19-24 us) ends before the next grid
+    /// opportunity (at least 496 us later).
+    void stage_grants() { std::swap(staged_, tick_); }
+    /// Apply the pending grant (called at tick + switching time).
+    void apply_staged_grants() { apply_grants(staged_); }
 
     // --- state access ---
     [[nodiscard]] unsigned id() const { return id_; }
+    /// "socket<id>", the subject of this socket's trace records.
+    [[nodiscard]] std::string_view name() const { return name_; }
     [[nodiscard]] const arch::Sku& sku() const { return *sku_; }
     [[nodiscard]] std::vector<SimCore>& cores() { return cores_; }
     [[nodiscard]] const std::vector<SimCore>& cores() const { return cores_; }
@@ -91,6 +105,8 @@ public:
     [[nodiscard]] double uncore_cycles() const { return uncore_cycles_; }
     [[nodiscard]] double pkg_c3_residency() const { return pkg_c3_residency_; }
     [[nodiscard]] double pkg_c6_residency() const { return pkg_c6_residency_; }
+    /// Package C-state under the system-wide activity rule.
+    [[nodiscard]] cstates::PackageCState package_state(bool any_core_active_in_system) const;
     /// Whether the whole system was active at the last update (package
     /// C-state bookkeeping input; set by the node).
     void set_system_active_hint(bool active) { system_active_hint_ = active; }
@@ -138,21 +154,30 @@ public:
     [[nodiscard]] Bandwidth achieved_l3_bandwidth() const;
     [[nodiscard]] Bandwidth achieved_dram_bandwidth() const;
 
-    /// Build the PCU inputs for the current state (modulation evaluated at
-    /// `now`). Public for tests.
-    [[nodiscard]] pcu::PcuInputs build_pcu_inputs(Time now, bool system_active,
-                                                  Frequency fastest_system_core) const;
-
 private:
-    [[nodiscard]] rapl::ActivityVector activity_vector(Time now) const;
+    /// Refill pcu_in_ from the current state (modulation evaluated at `now`).
+    void fill_pcu_inputs(Time now, bool system_active, Frequency fastest_system_core);
     [[nodiscard]] mem::ConcurrencyConfig concurrency() const;
+    // The per-core pieces shared by advance_to() and the current_*()
+    // readers, so both produce bit-identical sums.
+    [[nodiscard]] Power core_power_at(const SimCore& c, Time t) const;
+    /// Uncore power for the running cores' summed uncore traffic.
+    [[nodiscard]] Power uncore_power_for(double traffic_sum) const;
+    /// DRAM demand of one loaded C0 core (GB/s).
+    [[nodiscard]] double dram_demand_gbs(const SimCore& c) const;
+    /// Clamp a DRAM demand to the socket's peak read bandwidth.
+    [[nodiscard]] Bandwidth dram_traffic_for(double demand_gbs) const {
+        return Bandwidth::gb_per_sec(std::min(demand_gbs, dram_peak_gbs_));
+    }
 
     const arch::Sku* sku_;
     unsigned id_;
+    std::string name_;
     arch::DieTopology topo_;
     pcu::PcuController pcu_;
     rapl::RaplPackage rapl_;
     mem::BandwidthModel bw_model_;
+    double dram_peak_gbs_;  // all cores, two threads, nominal clock, max uncore
     power::ThermalModel thermal_;
     std::vector<SimCore> cores_;
     msr::EpbPolicy epb_ = msr::EpbPolicy::Balanced;
@@ -170,6 +195,11 @@ private:
     double pkg_c6_residency_ = 0.0;
     bool system_active_hint_ = false;
     Time last_update_;
+
+    // Reused PCU buffers: a steady-state tick allocates nothing.
+    pcu::PcuInputs pcu_in_;
+    pcu::PcuOutputs tick_;    // the last pcu_tick()'s grants
+    pcu::PcuOutputs staged_;  // the pending grant, applied after the switch
 };
 
 }  // namespace hsw::core

@@ -32,6 +32,10 @@ BandwidthModel::BandwidthModel(arch::Generation generation, unsigned socket_core
             dram_ = {cal::kWsmDramCoreCyclesPerByte, cal::kWsmDramUncoreCyclesPerByte,
                      cal::kWsmDramFlatSecPerGB, 0.0, cal::kWsmDramPeakGBs};
             break;
+        case arch::Generation::SkylakeSP:
+            // Not calibrated yet: all-zero coefficients, so every read
+            // bandwidth is 0 GB/s (EXPERIMENTS.md, "Known deviations").
+            break;
     }
 }
 

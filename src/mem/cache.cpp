@@ -45,6 +45,8 @@ const CacheHierarchy& hierarchy_for(arch::Generation g) {
         case arch::Generation::IvyBridgeEP: return sandy_bridge;
         case arch::Generation::HaswellEP:
         case arch::Generation::HaswellHE: return haswell;
+        // No Skylake-SP hierarchy yet: it reuses the Haswell one.
+        case arch::Generation::SkylakeSP: return haswell;
     }
     return haswell;
 }

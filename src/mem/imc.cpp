@@ -12,6 +12,9 @@ DdrConfig ddr_config_for(arch::Generation g) {
         case arch::Generation::HaswellEP:
         case arch::Generation::HaswellHE:
             return {"DDR4-2133", 2133.0};
+        case arch::Generation::SkylakeSP:
+            // Not yet modelled (the part runs DDR4-2666); kept at Haswell's.
+            return {"DDR4-2133", 2133.0};
     }
     return {"DDR4-2133", 2133.0};
 }

@@ -20,6 +20,8 @@ QpiLink::QpiLink(arch::Generation generation) {
             raw_ = Bandwidth::gb_per_sec(25.6);  // 6.4 GT/s
             hop_ns_ = 55.0;
             break;
+        case arch::Generation::SkylakeSP:
+            break;  // UPI is not modelled: zero bandwidth, zero hop latency
     }
 }
 

@@ -31,7 +31,7 @@ public:
 
 private:
     Bandwidth raw_;
-    double hop_ns_;
+    double hop_ns_ = 0.0;
 };
 
 /// Remote DRAM read bandwidth: the local cores' demand, throttled by the

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "arch/calibration.hpp"
 #include "pcu/hwp.hpp"
@@ -26,7 +28,13 @@ PcuController::PcuController(const arch::Sku& sku, unsigned socket_id,
       policy_{policy != nullptr ? policy : &haswell_policy()},
       core_curve_{power::VfCurve::core_curve(socket_id)},
       uncore_curve_{power::VfCurve::uncore_curve(socket_id)},
-      licenses_(sku.cores) {}
+      licenses_(sku.cores),
+      memo_(static_cast<std::size_t>(sku.cores) * kMemoRatios) {
+    if (sku.cores > kMaxCores) {
+        throw std::invalid_argument("PcuController: more than " +
+                                    std::to_string(kMaxCores) + " cores per socket");
+    }
+}
 
 Voltage PcuController::core_voltage(unsigned core, Frequency f, unsigned level) const {
     Voltage v = core_curve_.voltage_for(f);
@@ -43,37 +51,62 @@ Power PcuController::effective_budget(double current_intensity) const {
     return Power::watts(sku_->tdp.as_watts() - shave);
 }
 
+Power PcuController::core_term(const CoreInputs& c, std::size_t core, unsigned ratio) const {
+    const Frequency f = Frequency::from_ratio(ratio);
+    const power::CoreActivity activity{
+        .cdyn_utilization = c.cdyn_utilization,
+        .clock_running = c.state == cstates::CState::C0,
+        .power_gated = cstates::power_gated(c.state),
+    };
+    return power::core_power(
+        activity, core_voltage(static_cast<unsigned>(core), f, licenses_[core].level()), f);
+}
+
 Power PcuController::estimate_package_power(const PcuInputs& in,
-                                            const std::vector<unsigned>& core_ratios,
+                                            std::span<const unsigned> core_ratios,
                                             Frequency uncore) const {
     assert(core_ratios.size() == in.cores.size());
     Power total = power::socket_static_power();
     for (std::size_t i = 0; i < in.cores.size(); ++i) {
-        const auto& c = in.cores[i];
-        const Frequency f = Frequency::from_ratio(core_ratios[i]);
-        const unsigned level = licenses_[i].level();
-        const power::CoreActivity activity{
-            .cdyn_utilization = c.cdyn_utilization,
-            .clock_running = c.state == cstates::CState::C0,
-            .power_gated = cstates::power_gated(c.state),
-        };
-        total += power::core_power(activity, core_voltage(static_cast<unsigned>(i), f, level), f);
+        total += core_term(in.cores[i], i, core_ratios[i]);
     }
     total += power::uncore_power(in.uncore_traffic, uncore_curve_.voltage_for(uncore), uncore);
     return total;
 }
 
-PcuOutputs PcuController::evaluate(const PcuInputs& in, Time now) {
-    PcuOutputs out;
-    if (in.hwp_enabled && policy_->hwp_capable()) {
-        PcuInputs adjusted = in;
-        apply_hwp(adjusted);
-        out = evaluate_impl(adjusted, now);
-    } else {
-        out = evaluate_impl(in, now);
+// hsw:hot-path -- the budget loop sums these terms ~8 times per tick.
+Power PcuController::estimate_memoized(const PcuInputs& in, const Ratios& ratios,
+                                       Frequency uncore) {
+    Power total = power::socket_static_power();
+    for (std::size_t i = 0; i < in.cores.size(); ++i) {
+        const unsigned r = ratios[i];
+        if (r >= kMemoRatios) {
+            total += core_term(in.cores[i], i, r);
+            continue;
+        }
+        MemoEntry& e = memo_[i * kMemoRatios + r];
+        if (e.tick != tick_count_) e = MemoEntry{core_term(in.cores[i], i, r), tick_count_};
+        total += e.watts;
     }
-    if (policy_->per_die_uncore()) fill_die_uncore(in, out);
-    return out;
+    total += power::uncore_power(in.uncore_traffic, uncore_curve_.voltage_for(uncore), uncore);
+    return total;
+}
+// hsw:end-hot-path
+
+void PcuController::evaluate(const PcuInputs& in, Time now, PcuOutputs& out) {
+    out.cores.resize(in.cores.size());  // a reused buffer keeps its capacity
+    if (in.hwp_enabled && policy_->hwp_capable()) {
+        hwp_inputs_ = in;
+        apply_hwp(hwp_inputs_);
+        evaluate_impl(hwp_inputs_, now, out);
+    } else {
+        evaluate_impl(in, now, out);
+    }
+    if (policy_->per_die_uncore()) {
+        fill_die_uncore(in, out);
+    } else {
+        out.die_uncore_frequency.clear();
+    }
 }
 
 void PcuController::apply_hwp(PcuInputs& in) const {
@@ -118,13 +151,15 @@ void PcuController::fill_die_uncore(const PcuInputs& in, PcuOutputs& out) const 
     }
 }
 
-PcuOutputs PcuController::evaluate_impl(const PcuInputs& in, Time now) {
+// hsw:hot-path -- one opportunity-grid tick; `out` arrives sized (evaluate).
+void PcuController::evaluate_impl(const PcuInputs& in, Time now, PcuOutputs& out) {
     assert(in.cores.size() == sku_->cores);
-    ++tick_count_;
+    ++tick_count_;  // also invalidates every memoized core term
+    const std::size_t n = in.cores.size();
 
     // --- AVX license state machines ---
     const bool avx512_capable = policy_->max_license_level() >= 2;
-    for (std::size_t i = 0; i < in.cores.size(); ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
         const bool running = in.cores[i].state == cstates::CState::C0;
         licenses_[i].update(running ? in.cores[i].avx_fraction : 0.0,
                             running && avx512_capable ? in.cores[i].avx512_fraction : 0.0,
@@ -143,8 +178,7 @@ PcuOutputs PcuController::evaluate_impl(const PcuInputs& in, Time now) {
     }
     if (in.epb == msr::EpbPolicy::Performance && n_active > 0) turbo_requested = true;
 
-    PcuOutputs out;
-    out.cores.resize(in.cores.size());
+    out.tdp_limited = false;
 
     const UncoreRatioLimit msr_limit =
         decode_uncore_ratio_limit(in.uncore_ratio_limit_raw);
@@ -176,8 +210,9 @@ PcuOutputs PcuController::evaluate_impl(const PcuInputs& in, Time now) {
                 uncore = std::min(uncore, Frequency::from_ratio(msr_limit.max_ratio));
             }
         }
-        std::vector<unsigned> parked(in.cores.size(), sku_->min_frequency.ratio());
-        for (std::size_t i = 0; i < in.cores.size(); ++i) {
+        Ratios parked;
+        parked.fill(sku_->min_frequency.ratio());
+        for (std::size_t i = 0; i < n; ++i) {
             const Frequency f = sku_->min_frequency;
             out.cores[i] = CoreGrant{f, core_voltage(static_cast<unsigned>(i), f, 0),
                                      licenses_[i].licensed(), licenses_[i].level(), 1.0};
@@ -185,8 +220,8 @@ PcuOutputs PcuController::evaluate_impl(const PcuInputs& in, Time now) {
         out.uncore_frequency = uncore;
         out.uncore_voltage = uncore_curve_.voltage_for(uncore);
         out.uncore_clock_halted = d.clock_halted;
-        out.estimated_package_power = estimate_package_power(in, parked, uncore);
-        return out;
+        out.estimated_package_power = estimate_memoized(in, parked, uncore);
+        return;
     }
 
     // --- EET's sporadic stall polling (Section II-E): refresh the stall
@@ -199,10 +234,10 @@ PcuOutputs PcuController::evaluate_impl(const PcuInputs& in, Time now) {
 
     // --- Per-core frequency caps ---
     const TurboContext ctx{sku_, n_active, in.turbo_enabled, in.epb};
-    std::vector<unsigned> caps(in.cores.size());
-    std::vector<unsigned> floors(in.cores.size());
+    Ratios caps{};
+    Ratios floors{};
     const unsigned avx_base_ratio = sku_->avx_base_frequency.ratio();
-    for (std::size_t i = 0; i < in.cores.size(); ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
         const auto& c = in.cores[i];
         if (c.state != cstates::CState::C0) {
             // Parked cores keep their requested ratio so they resume it on
@@ -233,15 +268,15 @@ PcuOutputs PcuController::evaluate_impl(const PcuInputs& in, Time now) {
         budget = std::min(budget, Power::watts(in.power_limit_watts));
     }
 
-    auto fastest_ratio = [&](const std::vector<unsigned>& ratios) {
+    auto fastest_ratio = [&](const Ratios& ratios) {
         unsigned best = sku_->min_frequency.ratio();
-        for (std::size_t i = 0; i < ratios.size(); ++i) {
+        for (std::size_t i = 0; i < n; ++i) {
             if (in.cores[i].state == cstates::CState::C0) best = std::max(best, ratios[i]);
         }
         return best;
     };
 
-    auto ufs_decision = [&](const std::vector<unsigned>& ratios) {
+    auto ufs_decision = [&](const Ratios& ratios) {
         const UfsInputs ufs{
             .sku = sku_,
             .epb = in.epb,
@@ -260,16 +295,16 @@ PcuOutputs PcuController::evaluate_impl(const PcuInputs& in, Time now) {
     // --- Core throttle loop: shed 100 MHz from the fastest cores while the
     // operating point (cores at ratios, uncore at its floor) overruns the
     // budget. The UFS floor moves down with the cores in tracking mode. ---
-    std::vector<unsigned> ratios = caps;
+    Ratios ratios = caps;
     UfsDecision ufs = ufs_decision(ratios);
     bool throttled = false;
-    auto over_budget = [&](const std::vector<unsigned>& r, Frequency unc) {
-        return estimate_package_power(in, r, unc) > budget;
+    auto over_budget = [&](const Ratios& r, Frequency unc) {
+        return estimate_memoized(in, r, unc) > budget;
     };
     while (over_budget(ratios, ufs.floor)) {
         const unsigned fastest = fastest_ratio(ratios);
         bool reduced = false;
-        for (std::size_t i = 0; i < ratios.size(); ++i) {
+        for (std::size_t i = 0; i < n; ++i) {
             if (in.cores[i].state != cstates::CState::C0) continue;
             if (ratios[i] == fastest && ratios[i] > floors[i]) {
                 --ratios[i];
@@ -292,10 +327,10 @@ PcuOutputs PcuController::evaluate_impl(const PcuInputs& in, Time now) {
         // uncore ~= core in Table IV's turbo/2.5/2.4 rows). The uncore is
         // NOT additionally raised here -- the freed budget goes to the
         // cores first. ---
-        std::vector<unsigned> hi = ratios;
+        Ratios hi = ratios;
         bool can_step = false;
         const unsigned fastest = fastest_ratio(ratios);
-        for (std::size_t i = 0; i < hi.size(); ++i) {
+        for (std::size_t i = 0; i < n; ++i) {
             if (in.cores[i].state != cstates::CState::C0) continue;
             if (hi[i] == fastest && hi[i] < caps[i]) {
                 ++hi[i];
@@ -304,10 +339,8 @@ PcuOutputs PcuController::evaluate_impl(const PcuInputs& in, Time now) {
         }
         if (can_step) {
             const UfsDecision ufs_hi = ufs_decision(hi);
-            const double p_lo =
-                estimate_package_power(in, ratios, ufs.floor).as_watts();
-            const double p_hi =
-                estimate_package_power(in, hi, ufs_hi.floor).as_watts();
+            const double p_lo = estimate_memoized(in, ratios, ufs.floor).as_watts();
+            const double p_hi = estimate_memoized(in, hi, ufs_hi.floor).as_watts();
             double alpha = 0.0;
             if (p_hi > p_lo) {
                 alpha = std::clamp((budget.as_watts() - p_lo) / (p_hi - p_lo), 0.0, 1.0);
@@ -329,9 +362,8 @@ PcuOutputs PcuController::evaluate_impl(const PcuInputs& in, Time now) {
         }
         // Uncore dither between the feasible step and the next one.
         if (step_up(uncore) <= ufs.target) {
-            const double p_lo = estimate_package_power(in, ratios, uncore).as_watts();
-            const double p_hi =
-                estimate_package_power(in, ratios, step_up(uncore)).as_watts();
+            const double p_lo = estimate_memoized(in, ratios, uncore).as_watts();
+            const double p_hi = estimate_memoized(in, ratios, step_up(uncore)).as_watts();
             if (p_hi > p_lo) {
                 const double alpha =
                     std::clamp((budget.as_watts() - p_lo) / (p_hi - p_lo), 0.0, 1.0);
@@ -345,7 +377,7 @@ PcuOutputs PcuController::evaluate_impl(const PcuInputs& in, Time now) {
     }
 
     // --- Assemble grants ---
-    for (std::size_t i = 0; i < in.cores.size(); ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
         const Frequency f = Frequency::from_ratio(ratios[i]);
         const unsigned level = licenses_[i].level();
         out.cores[i] = CoreGrant{
@@ -359,8 +391,8 @@ PcuOutputs PcuController::evaluate_impl(const PcuInputs& in, Time now) {
     out.uncore_frequency = uncore;
     out.uncore_voltage = uncore_curve_.voltage_for(uncore);
     out.uncore_clock_halted = false;
-    out.estimated_package_power = estimate_package_power(in, ratios, uncore);
-    return out;
+    out.estimated_package_power = estimate_memoized(in, ratios, uncore);
 }
+// hsw:end-hot-path
 
 }  // namespace hsw::pcu

@@ -14,7 +14,10 @@
 // non-multiple frequencies the paper reports (e.g. 2.31 GHz).
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "arch/sku.hpp"
@@ -87,17 +90,30 @@ struct PcuOutputs {
 
 class PcuController {
 public:
+    /// Most cores per socket a controller handles (the largest modelled
+    /// SKU has 18); the per-evaluation ratio sets live in arrays this big.
+    static constexpr std::size_t kMaxCores = 32;
+
     /// A null policy means the default Haswell policy (haswell_policy()).
+    /// Throws std::invalid_argument for SKUs with more than kMaxCores.
     PcuController(const arch::Sku& sku, unsigned socket_id,
                   const PcuPolicy* policy = nullptr);
 
-    /// Run one opportunity-grid evaluation. Deterministic given inputs.
-    [[nodiscard]] PcuOutputs evaluate(const PcuInputs& in, Time now);
+    /// Run one opportunity-grid evaluation into `out`. Deterministic given
+    /// inputs. Allocation-free once `out` (and, with HWP live, the
+    /// controller's input copy) has held one evaluation for this SKU.
+    void evaluate(const PcuInputs& in, Time now, PcuOutputs& out);
+    [[nodiscard]] PcuOutputs evaluate(const PcuInputs& in, Time now) {
+        PcuOutputs out;
+        evaluate(in, now, out);
+        return out;
+    }
 
-    /// Model-estimated package power for a hypothetical operating point
-    /// (used by the budget loop and exposed for tests).
+    /// Model-estimated package power for a hypothetical operating point.
+    /// This is the unmemoized reference: the budget loop sums the same
+    /// per-core terms from a memo, and tests compare the two bit for bit.
     [[nodiscard]] Power estimate_package_power(const PcuInputs& in,
-                                               const std::vector<unsigned>& core_ratios,
+                                               std::span<const unsigned> core_ratios,
                                                Frequency uncore) const;
 
     [[nodiscard]] const arch::Sku& sku() const { return *sku_; }
@@ -109,9 +125,17 @@ public:
     [[nodiscard]] Power effective_budget(double current_intensity) const;
 
 private:
+    using Ratios = std::array<unsigned, kMaxCores>;
+    /// Ratios 0..kMemoRatios-1 are memoized (turbo tops out near 40).
+    static constexpr unsigned kMemoRatios = 64;
+    struct MemoEntry {
+        Power watts;
+        std::uint64_t tick = 0;  // valid while equal to tick_count_
+    };
+
     /// The pipeline shared by all generations; `in` already has HWP
     /// requests resolved into requested_ratio when HWP is live.
-    [[nodiscard]] PcuOutputs evaluate_impl(const PcuInputs& in, Time now);
+    void evaluate_impl(const PcuInputs& in, Time now, PcuOutputs& out);
     /// Resolve IA32_HWP_REQUEST windows into per-core requested ratios and
     /// an effective bias tier (the minimum EPP over active cores wins).
     void apply_hwp(PcuInputs& in) const;
@@ -119,6 +143,14 @@ private:
     /// at the minimum; an active die never exceeds the package grant).
     void fill_die_uncore(const PcuInputs& in, PcuOutputs& out) const;
     [[nodiscard]] Voltage core_voltage(unsigned core, Frequency f, unsigned level) const;
+    /// One core's power term at `ratio` (the summand of the estimate).
+    [[nodiscard]] Power core_term(const CoreInputs& c, std::size_t core, unsigned ratio) const;
+    /// estimate_package_power over memoized core terms. Within one
+    /// evaluation the inputs and license levels are fixed, so a term
+    /// depends only on (core, ratio); the terms are still added in core
+    /// order, so every sum is bit-identical to the reference.
+    [[nodiscard]] Power estimate_memoized(const PcuInputs& in, const Ratios& ratios,
+                                          Frequency uncore);
 
     const arch::Sku* sku_;
     unsigned socket_id_;
@@ -126,6 +158,8 @@ private:
     power::VfCurve core_curve_;
     power::VfCurve uncore_curve_;
     std::vector<AvxLicenseLevels> licenses_;
+    std::vector<MemoEntry> memo_;  // cores x kMemoRatios, keyed by tick
+    PcuInputs hwp_inputs_;         // reused copy with HWP requests resolved
     double core_dither_accum_ = 0.0;
     double uncore_dither_accum_ = 0.0;
     std::uint64_t tick_count_ = 0;

@@ -6,16 +6,6 @@ namespace hsw::power {
 
 namespace cal = hsw::arch::cal;
 
-Power core_power(const CoreActivity& activity, Voltage v, Frequency f) {
-    if (activity.power_gated) return Power::zero();
-    const double v2 = v.as_volts() * v.as_volts();
-    double watts = cal::kCoreLeakagePerV2 * v2;
-    if (activity.clock_running) {
-        watts += cal::kCoreCdynFullLoad * activity.cdyn_utilization * v2 * f.as_ghz();
-    }
-    return Power::watts(watts);
-}
-
 Power uncore_power(double traffic_utilization, Voltage v, Frequency f) {
     if (traffic_utilization < 0.0) traffic_utilization = 0.0;
     if (traffic_utilization > 1.0) traffic_utilization = 1.0;

@@ -6,6 +6,7 @@
 // cores; DRAM power has a background plus a bandwidth-proportional part.
 #pragma once
 
+#include "arch/calibration.hpp"
 #include "util/units.hpp"
 
 namespace hsw::power {
@@ -23,8 +24,19 @@ struct CoreActivity {
     bool power_gated = false;
 };
 
-/// Dynamic + leakage power of one core.
-[[nodiscard]] Power core_power(const CoreActivity& activity, Voltage v, Frequency f);
+/// Dynamic + leakage power of one core. Defined here so the PCU's budget
+/// loop and the socket integrator inline it (the build targets baseline
+/// x86-64 without FMA, so inlining cannot contract and change a result).
+[[nodiscard]] inline Power core_power(const CoreActivity& activity, Voltage v, Frequency f) {
+    namespace cal = hsw::arch::cal;
+    if (activity.power_gated) return Power::zero();
+    const double v2 = v.as_volts() * v.as_volts();
+    double watts = cal::kCoreLeakagePerV2 * v2;
+    if (activity.clock_running) {
+        watts += cal::kCoreCdynFullLoad * activity.cdyn_utilization * v2 * f.as_ghz();
+    }
+    return Power::watts(watts);
+}
 
 /// Uncore (ring, L3, IMC front end) power for a traffic level in [0, 1].
 [[nodiscard]] Power uncore_power(double traffic_utilization, Voltage v, Frequency f);

@@ -24,11 +24,6 @@ VfCurve VfCurve::uncore_curve(unsigned socket_id) {
     return VfCurve{cal::kUncoreVfA, cal::kUncoreVfB, 0.0, socket_factor};
 }
 
-Voltage VfCurve::voltage_for(Frequency f) const {
-    const double g = f.as_ghz();
-    return Voltage::volts((a_ + b_ * g + c_ * g * g) * factor_);
-}
-
 Frequency VfCurve::frequency_for(Voltage v) const {
     const double target = v.as_volts() / factor_;
     if (c_ == 0.0) {

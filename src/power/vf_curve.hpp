@@ -25,7 +25,10 @@ public:
     /// Uncore-domain curve for a socket.
     [[nodiscard]] static VfCurve uncore_curve(unsigned socket_id);
 
-    [[nodiscard]] Voltage voltage_for(Frequency f) const;
+    [[nodiscard]] Voltage voltage_for(Frequency f) const {
+        const double g = f.as_ghz();
+        return Voltage::volts((a_ + b_ * g + c_ * g * g) * factor_);
+    }
 
     /// Highest frequency that fits under the given voltage (inverse map,
     /// used by the PCU when budgeting).

@@ -1,37 +1,6 @@
 #include "workloads/workload.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <numbers>
-
 namespace hsw::workloads {
-
-double Workload::modulation_factor(Time t) const {
-    switch (modulation) {
-        case Modulation::Constant:
-            return 1.0;
-        case Modulation::Sinusoid: {
-            const double phase = 2.0 * std::numbers::pi * t.as_seconds() /
-                                 std::max(modulation_period_s, 1e-9);
-            return 1.0 - modulation_depth * 0.5 + modulation_depth * 0.5 * std::sin(phase);
-        }
-        case Modulation::SquareWave: {
-            const double period = std::max(modulation_period_s, 1e-9);
-            const bool high = std::fmod(t.as_seconds(), period) < period * 0.5;
-            return high ? 1.0 : 1.0 - modulation_depth;
-        }
-    }
-    return 1.0;
-}
-
-double Workload::cdyn_at(Time t, bool hyperthreading) const {
-    return (hyperthreading ? cdyn_ht : cdyn_noht) * modulation_factor(t);
-}
-
-double Workload::ipc(double core_uncore_ratio, bool hyperthreading) const {
-    const double unity = hyperthreading ? ipc_unity_ht : ipc_unity_noht;
-    return std::max(0.05, unity - ipc_uncore_sens * (core_uncore_ratio - 1.0));
-}
 
 const Workload& idle() {
     static constexpr Workload w{.name = "idle"};

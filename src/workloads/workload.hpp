@@ -8,6 +8,9 @@
 // drive the power model and the performance counters.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+#include <numbers>
 #include <string_view>
 #include <vector>
 
@@ -60,14 +63,38 @@ struct Workload {
     double modulation_period_s = 0.0;
     double modulation_depth = 0.0;  // peak-to-trough fraction of cdyn
 
+    // The three accessors below run per core on every socket update and
+    // PCU tick, so they are defined here to inline.
+
     /// Utilization multiplier at simulation time `t` (1.0 for constant load).
-    [[nodiscard]] double modulation_factor(Time t) const;
+    [[nodiscard]] double modulation_factor(Time t) const {
+        switch (modulation) {
+            case Modulation::Constant:
+                return 1.0;
+            case Modulation::Sinusoid: {
+                const double phase = 2.0 * std::numbers::pi * t.as_seconds() /
+                                     std::max(modulation_period_s, 1e-9);
+                return 1.0 - modulation_depth * 0.5 + modulation_depth * 0.5 * std::sin(phase);
+            }
+            case Modulation::SquareWave: {
+                const double period = std::max(modulation_period_s, 1e-9);
+                const bool high = std::fmod(t.as_seconds(), period) < period * 0.5;
+                return high ? 1.0 : 1.0 - modulation_depth;
+            }
+        }
+        return 1.0;
+    }
 
     /// Effective cdyn at time `t` for the given threading.
-    [[nodiscard]] double cdyn_at(Time t, bool hyperthreading) const;
+    [[nodiscard]] double cdyn_at(Time t, bool hyperthreading) const {
+        return (hyperthreading ? cdyn_ht : cdyn_noht) * modulation_factor(t);
+    }
 
     /// Core IPC for a clock ratio r = f_core / f_uncore.
-    [[nodiscard]] double ipc(double core_uncore_ratio, bool hyperthreading) const;
+    [[nodiscard]] double ipc(double core_uncore_ratio, bool hyperthreading) const {
+        const double unity = hyperthreading ? ipc_unity_ht : ipc_unity_noht;
+        return std::max(0.05, unity - ipc_uncore_sens * (core_uncore_ratio - 1.0));
+    }
 };
 
 /// The idle pseudo-workload (no runnable thread).

@@ -7,6 +7,8 @@
 #include "tools/ftalat.hpp"
 #include "workloads/mixes.hpp"
 
+#include <ostream>
+
 namespace hsw {
 namespace {
 
@@ -56,6 +58,12 @@ struct BudgetCase {
     const arch::Sku* sku;
     const workloads::Workload* workload;
 };
+
+// Names each case by SKU and workload. gtest's default byte dump would put
+// the two pointers into the test name, and those move from run to run.
+void PrintTo(const BudgetCase& c, std::ostream* os) {
+    *os << c.sku->model << " / " << c.workload->name;
+}
 
 class PcuBudgetSweep : public ::testing::TestWithParam<BudgetCase> {};
 

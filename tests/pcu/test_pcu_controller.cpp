@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include "arch/sku.hpp"
+#include "pcu/hwp.hpp"
 #include "pcu/pcu.hpp"
+#include "platform/registry.hpp"
+#include "util/rng.hpp"
 
 #include <numeric>
+#include <vector>
 
 namespace hsw::pcu {
 namespace {
@@ -179,14 +183,65 @@ TEST(PcuController, MemoryBoundTurboDemotedByEet) {
     EXPECT_GT(out.uncore_frequency.as_ghz(), 2.5);
 }
 
+/// Random inputs for one tick: a mix of C0/C1/C6 cores with varying
+/// activity and AVX densities, optionally under a RAPL package limit.
+PcuInputs random_inputs(util::Rng& rng, const arch::Sku& sku, bool hwp, bool power_limit) {
+    constexpr cstates::CState kStates[] = {cstates::CState::C0, cstates::CState::C0,
+                                           cstates::CState::C1, cstates::CState::C6};
+    PcuInputs in;
+    in.cores.resize(sku.cores);
+    const unsigned lo = sku.min_frequency.ratio();
+    const unsigned hi = sku.nominal_frequency.ratio() + 1;  // turbo request
+    for (auto& c : in.cores) {
+        c.state = kStates[rng.uniform_u64(4)];
+        c.requested_ratio = lo + static_cast<unsigned>(rng.uniform_u64(hi - lo + 1));
+        c.avx_fraction = rng.uniform() < 0.5 ? 0.95 : rng.uniform(0.0, 0.3);
+        c.avx512_fraction = rng.uniform() < 0.5 ? rng.uniform(0.0, 0.9) : 0.0;
+        c.stall_fraction = rng.uniform(0.0, 0.8);
+        c.cdyn_utilization = rng.uniform(0.1, 1.1);
+        if (hwp) {
+            c.hwp_request_raw = encode_hwp_request(
+                HwpRequest{.epp = static_cast<unsigned>(rng.uniform_u64(256))});
+        }
+    }
+    in.uncore_traffic = rng.uniform();
+    in.current_intensity = rng.uniform();
+    in.fastest_system_core = Frequency::from_ratio(hi);
+    in.hwp_enabled = hwp;
+    if (power_limit) in.power_limit_watts = rng.uniform(0.4, 1.0) * sku.tdp.as_watts();
+    return in;
+}
+
+// The budget loop sums memoized per-core terms; its reported estimate must
+// equal the unmemoized reference bit for bit, on every generation's policy
+// and across consecutive ticks (the memo lives for one evaluation only).
 TEST(PcuController, EstimateMatchesEvaluateOutput) {
-    PcuController pcu{arch::xeon_e5_2680_v3(), 1};
-    const PcuInputs in = firestarter_inputs(21);
-    const auto out = pcu.evaluate(in, Time::us(500));
-    std::vector<unsigned> ratios;
-    for (const auto& g : out.cores) ratios.push_back(g.frequency.ratio());
-    const Power re = pcu.estimate_package_power(in, ratios, out.uncore_frequency);
-    EXPECT_NEAR(re.as_watts(), out.estimated_package_power.as_watts(), 1e-9);
+    struct Case {
+        arch::Generation generation;
+        bool hwp;
+    };
+    for (const Case& k : {Case{arch::Generation::HaswellEP, false},
+                          Case{arch::Generation::SandyBridgeEP, false},
+                          Case{arch::Generation::SkylakeSP, true}}) {
+        const auto& backend = platform::backend_for(k.generation);
+        for (const bool power_limit : {false, true}) {
+            PcuController pcu{backend.survey_sku(), 1, &backend.pcu_policy()};
+            util::Rng rng{0xE57 + static_cast<std::uint64_t>(k.generation) * 2 +
+                          (power_limit ? 1 : 0)};
+            Time t = Time::zero();
+            for (int tick = 0; tick < 300; ++tick) {
+                t += Time::us(500);
+                const PcuInputs in =
+                    random_inputs(rng, backend.survey_sku(), k.hwp, power_limit);
+                const auto out = pcu.evaluate(in, t);
+                std::vector<unsigned> ratios;
+                for (const auto& g : out.cores) ratios.push_back(g.frequency.ratio());
+                const Power re = pcu.estimate_package_power(in, ratios, out.uncore_frequency);
+                ASSERT_EQ(re.as_watts(), out.estimated_package_power.as_watts())
+                    << backend.name() << " limit=" << power_limit << " tick " << tick;
+            }
+        }
+    }
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include "arch/sku.hpp"
 #include "pcu/uncore_scaling.hpp"
 
+#include <cstdint>
+
 namespace hsw::pcu {
 namespace {
 
@@ -18,16 +20,21 @@ UfsInputs base_inputs() {
 }
 
 // --- The Table III ladder, parameterized over every row. ---
+// The ratio is 64-bit so the row has no padding: gtest names each case by
+// dumping the row's bytes, and padding would put leftover heap contents into
+// the test name.
 struct LadderRow {
-    unsigned core_ratio;
+    std::uint64_t core_ratio;
     double uncore_ghz;
 };
+static_assert(sizeof(LadderRow) == sizeof(std::uint64_t) + sizeof(double));
 
 class LadderSweep : public ::testing::TestWithParam<LadderRow> {};
 
 TEST_P(LadderSweep, MatchesTable3) {
     const auto [ratio, expected] = GetParam();
-    EXPECT_NEAR(ladder_frequency(ratio).as_ghz(), expected, 1e-9) << "ratio " << ratio;
+    EXPECT_NEAR(ladder_frequency(static_cast<unsigned>(ratio)).as_ghz(), expected, 1e-9)
+        << "ratio " << ratio;
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -50,7 +50,8 @@ struct Fixture {
     explicit Fixture(unsigned shards) {
         for (unsigned i = 0; i < shards; ++i) {
             auto sim = std::make_unique<ShardSim>();
-            sim->name = "s" + std::to_string(i);
+            // append: GCC 12's -Wrestrict misfires on `"s" + std::string`.
+            sim->name = std::string{"s"}.append(std::to_string(i));
             endpoints.push_back({sim->name, "127.0.0.1",
                                  static_cast<std::uint16_t>(9000 + i)});
             transport.add_endpoint(

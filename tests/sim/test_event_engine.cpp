@@ -3,43 +3,13 @@
 // allocation-free steady-state guarantee.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <stdexcept>
 #include <vector>
 
+#include "../heap_alloc_counter.hpp"
 #include "sim/simulator.hpp"
 #include "util/inline_function.hpp"
-
-// Binary-wide replaceable allocation counter: the steady-state test
-// brackets a dispatch window and asserts the simulator made zero trips to
-// the allocator. Pass-through otherwise, so every other test in this
-// binary is unaffected.
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}  // namespace
-
-// noinline keeps the malloc/free bodies opaque at call sites; with them
-// inlined, GCC's -Wmismatched-new-delete pairs the exposed free() against
-// `new` expressions and misfires (seen under -fsanitize=thread).
-#if defined(__GNUC__)
-#define HSW_TEST_NOINLINE __attribute__((noinline))
-#else
-#define HSW_TEST_NOINLINE
-#endif
-
-HSW_TEST_NOINLINE void* operator new(std::size_t size) {
-    g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void* p = std::malloc(size)) return p;
-    throw std::bad_alloc{};
-}
-
-HSW_TEST_NOINLINE void operator delete(void* p) noexcept { std::free(p); }
-HSW_TEST_NOINLINE void operator delete(void* p, std::size_t) noexcept {
-    std::free(p);
-}
 
 namespace hsw::sim {
 namespace {

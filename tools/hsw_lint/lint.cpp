@@ -420,27 +420,31 @@ struct FileScanner {
                            "or .split(), never from a raw seed");
                 }
             }
+            // Built with append: GCC 12 misreports `"'" + std::string{...}
+            // + ...` chains under -Wrestrict.
+            auto token_message = [&tok](std::string_view what) {
+                std::string m{"'"};
+                m.append(tok.text).append("' ").append(what);
+                return m;
+            };
             if (in_hot_region) {
                 if (kHotAllocTokens.count(tok.text) != 0) {
                     report(lineno, allows, "hot-path-alloc",
-                           "'" + std::string{tok.text} +
-                               "' allocates inside the hot-path region opened at "
-                               "line " + std::to_string(hot_region_line));
+                           token_message("allocates inside the hot-path region opened at line ")
+                               .append(std::to_string(hot_region_line)));
                 }
                 if (kHotBlockingTokens.count(tok.text) != 0) {
                     report(lineno, allows, "hot-path-alloc",
-                           "'" + std::string{tok.text} +
-                               "' may block inside the hot-path region opened at "
-                               "line " + std::to_string(hot_region_line));
+                           token_message("may block inside the hot-path region opened at line ")
+                               .append(std::to_string(hot_region_line)));
                 }
             }
             if (in_reactor_region && kReactorBlockingTokens.count(tok.text) != 0) {
                 report(lineno, allows, "reactor-blocking",
-                       "'" + std::string{tok.text} +
-                           "' can block the event loop inside the reactor-thread "
-                           "region opened at line " +
-                           std::to_string(reactor_region_line) +
-                           "; reactor fds are nonblocking, park on epoll instead");
+                       token_message("can block the event loop inside the reactor-thread "
+                                     "region opened at line ")
+                           .append(std::to_string(reactor_region_line))
+                           .append("; reactor fds are nonblocking, park on epoll instead"));
             }
             if (kLockIoTokens.count(tok.text) != 0 && holding_lock()) {
                 report(lineno, allows, "lock-across-io",
