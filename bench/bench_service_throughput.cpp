@@ -10,8 +10,8 @@
 // plus two socket scenarios that push the same hot traffic through a real
 // SurveyServer (epoll reactor) over loopback TCP:
 //
-//   hot-socket     one request per round-trip (a pre-v1.3 client)
-//   hot-pipelined  32 requests per v1.3 batch frame per round-trip
+//   hot-socket     one request per round-trip
+//   hot-pipelined  32 requests per batch frame per round-trip
 //
 // The interesting ratios: hot/cold p50 is the hot-cache win (a shard-mutex
 // lookup versus a full computation), warm-disk/hot is the cost of the disk

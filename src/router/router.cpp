@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <optional>
 #include <utility>
 
 #include "obs/accesslog.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "service/server.hpp"
 #include "util/hash.hpp"
 
 namespace hsw::router {
@@ -65,23 +67,6 @@ obs::Histogram& route_latency_histogram() {
     return h;
 }
 
-/// "unknown verb" from parse_request is the protocol's capability-probe
-/// answer: the peer predates the verb we sent.
-bool is_unknown_verb(const Response& response) {
-    return response.code == ErrorCode::MalformedRequest &&
-           response.payload.find("unknown verb") != std::string::npos;
-}
-
-/// Stamp the thread's current trace context onto an outgoing upstream
-/// request (the upstream.call span is the parent for the shard's spans).
-void stamp_trace(Request& request) {
-    const obs::trace::TraceContext ctx = obs::trace::current_context();
-    if (!ctx.valid()) return;
-    request.trace_id = ctx.trace_id;
-    request.trace_parent = ctx.span_id;
-    request.trace_flags = ctx.flags;
-}
-
 /// One access-log line per routed query, emitted where the outcome (and
 /// the retry count) is finally known.
 void log_routed_access(const Request& request, const Response& response,
@@ -126,7 +111,6 @@ std::string RouterStats::render() const {
     for (const auto& s : shards) {
         out += "shard." + s.name + ".state ";
         out += s.ejected ? "ejected" : "live";
-        if (s.legacy) out += " (legacy v1.1)";
         out += "\n";
         out += "shard." + s.name + ".consecutive_failures " +
                std::to_string(s.consecutive_failures) + "\n";
@@ -201,7 +185,7 @@ Response Router::handle(const Request& request) {
             return response;
         }
         case Verb::Query:
-            return route_query(request);
+            return route_query(request, std::chrono::steady_clock::now());
     }
     response.code = ErrorCode::MalformedRequest;
     response.payload = "unhandled verb";
@@ -254,7 +238,8 @@ void Router::note_failure(Shard& shard) {
     }
 }
 
-Response Router::route_query(const Request& request) {
+Response Router::route_query(const Request& request,
+                             std::chrono::steady_clock::time_point start) {
     queries_counter().inc();
     queries_.fetch_add(1, std::memory_order_relaxed);
     // The frame server installs the request's trace context before its
@@ -268,7 +253,6 @@ Response Router::route_query(const Request& request) {
     }
     obs::trace::Span span{"router.route", "router"};
     span.set_label(request.experiment + "/" + request.point);
-    const auto t0 = std::chrono::steady_clock::now();
 
     const std::string key = service::protocol::route_key(request);
     const std::vector<std::size_t> replicas = map_.replica_set(key);
@@ -277,18 +261,32 @@ Response Router::route_query(const Request& request) {
     last_error.code = ErrorCode::Unavailable;
     last_error.payload = "no replica reachable";
 
-    const auto elapsed_us = [&t0] {
+    const auto elapsed_us = [&start] {
         return static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - t0)
+                std::chrono::steady_clock::now() - start)
                 .count());
     };
+    // Milliseconds left of the request's deadline budget, less only whole
+    // elapsed milliseconds (so a first attempt forwards the full budget);
+    // meaningful only when deadline_ms != 0 (0 = no deadline).
+    const auto budget_left_ms = [&request, &elapsed_us] {
+        return static_cast<std::int64_t>(request.deadline_ms) -
+               static_cast<std::int64_t>(elapsed_us() / 1000);
+    };
+    const bool budgeted = request.deadline_ms > 0;
+    bool spent = false;
     std::uint32_t attempt = 0;
-    for (unsigned pass = 0; pass < cfg_.max_passes; ++pass) {
+    for (unsigned pass = 0; pass < cfg_.max_passes && !spent; ++pass) {
         if (pass > 0) {
+            const std::chrono::milliseconds delay = backoff_delay(pass);
+            if (budgeted && delay.count() >= budget_left_ms()) {
+                spent = true;  // no attempt could run after the sleep
+                break;
+            }
             retry_passes_.fetch_add(1, std::memory_order_relaxed);
             retry_passes_counter().inc();
-            std::this_thread::sleep_for(backoff_delay(pass));
+            std::this_thread::sleep_for(delay);
         }
         bool all_ejected = true;
         for (const std::size_t idx : replicas) {
@@ -303,6 +301,15 @@ Response Router::route_query(const Request& request) {
             // in which case trying beats failing without evidence.
             if (!all_ejected && shard.ejected.load(std::memory_order_acquire)) {
                 continue;
+            }
+            Request traced = request;
+            if (budgeted) {
+                const std::int64_t left_ms = budget_left_ms();
+                if (left_ms <= 0) {
+                    spent = true;
+                    break;
+                }
+                traced.deadline_ms = static_cast<std::uint32_t>(left_ms);
             }
             const std::string& shard_name = map_.shards()[replicas[i]].name;
             forwarded_.fetch_add(1, std::memory_order_relaxed);
@@ -323,15 +330,15 @@ Response Router::route_query(const Request& request) {
                     obs::trace::force_current();
                 }
                 ++attempt;
-                Request traced = request;
-                stamp_trace(traced);
+                // The upstream.call span parents the shard's spans.
+                service::stamp_trace(traced);
                 auto lease = shard.pool->acquire();
                 Response response = lease.call(traced);
                 note_success(shard);
                 if (!retriable(response.code)) {
                     route_latency_histogram().record(
                         std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - t0)
+                            std::chrono::steady_clock::now() - start)
                             .count());
                     log_routed_access(request, response, key, shard_name,
                                       attempt - 1, elapsed_us());
@@ -346,16 +353,29 @@ Response Router::route_query(const Request& request) {
             }
         }
     }
-    unavailable_.fetch_add(1, std::memory_order_relaxed);
-    unavailable_counter().inc();
+    if (spent || (budgeted && budget_left_ms() <= 0)) {
+        // The client stops waiting at its deadline; a late Overloaded or
+        // Unavailable would only hide that the budget ran out.
+        last_error.code = ErrorCode::DeadlineExceeded;
+        last_error.payload = "deadline-ms ";
+        last_error.payload.append(std::to_string(request.deadline_ms))
+            .append(" spent after ")
+            .append(std::to_string(attempt))
+            .append(" upstream attempt(s)");
+    } else {
+        unavailable_.fetch_add(1, std::memory_order_relaxed);
+        unavailable_counter().inc();
+    }
     log_routed_access(request, last_error, key, {},
                       attempt > 0 ? attempt - 1 : 0, elapsed_us());
-    // Exhausted: either Unavailable (nothing answered) or the last
-    // Overloaded/ShuttingDown the fleet gave us -- both are honest.
+    // Exhausted: either Unavailable (nothing answered), the last
+    // Overloaded/ShuttingDown the fleet gave us, or the spent budget --
+    // all honest.
     return last_error;
 }
 
 std::vector<Response> Router::handle_batch(const std::vector<Request>& requests) {
+    const auto start = std::chrono::steady_clock::now();
     std::vector<Response> responses(requests.size());
     // Group query sub-requests by the shard that would serve them today:
     // the first live replica of each route key (or the primary when the
@@ -406,9 +426,10 @@ std::vector<Response> Router::handle_batch(const std::vector<Request>& requests)
         for (const std::size_t idx : indices) {
             // Slow path: the whole group's upstream died, or this one
             // answer is retriable elsewhere. route_query owns failover,
-            // backoff, and the Unavailable verdict.
+            // backoff, and the Unavailable verdict, within what the group
+            // call left of the deadline budget.
             if (!delivered || retriable(responses[idx].code)) {
-                responses[idx] = route_query(requests[idx]);
+                responses[idx] = route_query(requests[idx], start);
                 responses[idx].tag = requests[idx].tag;
             }
         }
@@ -419,27 +440,11 @@ std::vector<Response> Router::handle_batch(const std::vector<Request>& requests)
 bool Router::probe_shard(std::size_t index) {
     Shard& shard = *shards_[index];
     Request probe;
-    probe.verb =
-        shard.legacy.load(std::memory_order_acquire) ? Verb::Metrics : Verb::Health;
-    probe.format = MetricsFormat::Json;
+    probe.verb = Verb::Health;
     try {
         auto lease = shard.pool->acquire();
-        Response response = lease.call(probe);
-        bool healthy = false;
-        if (probe.verb == Verb::Health && is_unknown_verb(response)) {
-            // Legacy v1.1 shard: remember, and probe via `metrics` from
-            // now on (a served metrics verb proves liveness just as well).
-            shard.legacy.store(true, std::memory_order_release);
-            Request fallback;
-            fallback.verb = Verb::Metrics;
-            fallback.format = MetricsFormat::Json;
-            healthy = lease.call(fallback).ok();
-        } else if (probe.verb == Verb::Health) {
-            healthy = response.ok() && response.payload == "ok";
-        } else {
-            healthy = response.ok();
-        }
-        if (healthy) {
+        const Response response = lease.call(probe);
+        if (response.ok() && response.payload == "ok") {
             note_success(shard);
             return true;
         }
@@ -544,7 +549,6 @@ std::vector<ShardHealth> Router::shard_health() const {
         ShardHealth h;
         h.name = map_.shards()[i].name;
         h.ejected = shard.ejected.load(std::memory_order_acquire);
-        h.legacy = shard.legacy.load(std::memory_order_acquire);
         h.consecutive_failures =
             shard.consecutive_failures.load(std::memory_order_relaxed);
         h.ejections = shard.ejections.load(std::memory_order_relaxed);

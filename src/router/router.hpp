@@ -19,12 +19,14 @@
 //   * Per-pass: when one walk of the replica set yields nothing, the
 //     router backs off (exponential, jittered, capped) and walks again,
 //     up to max_passes. Exhaustion returns ErrorCode::Unavailable.
+//   * Deadline: a request's deadline-ms budgets the whole routed request.
+//     Each attempt forwards only what is left of it, a backoff that would
+//     outlast it is not slept, and a spent budget answers
+//     DeadlineExceeded.
 //   * Health: eject_after consecutive failures eject a shard -- routing
 //     skips it (unless every replica is ejected; then it tries anyway
 //     rather than fail without evidence). A background prober revisits
-//     ejected shards with the v1.2 `health` verb and readmits on success.
-//     Shards that answer `health` with MalformedRequest ("unknown verb")
-//     are remembered as legacy v1.1 peers and probed via `metrics`.
+//     ejected shards with the `health` verb and readmits on success.
 //
 // Non-query verbs are fleet-level: `metrics` fans out to every shard,
 // merges the snapshots (obs::merge_snapshots) and answers with the fleet
@@ -33,6 +35,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -69,7 +72,6 @@ struct RouterConfig {
 struct ShardHealth {
     std::string name;
     bool ejected = false;
-    bool legacy = false;  // answered `health` with "unknown verb" (v1.1 peer)
     std::uint64_t consecutive_failures = 0;
     std::uint64_t ejections = 0;
     std::uint64_t readmissions = 0;
@@ -100,14 +102,15 @@ public:
     [[nodiscard]] service::protocol::Response handle(
         const service::protocol::Request& request);
 
-    /// Batch dispatch for the v1.3 front door: query sub-requests are
+    /// Batch dispatch for the front door: query sub-requests are
     /// grouped by target shard (first live replica of each route key) and
     /// forwarded as one pipelined upstream batch per shard; non-query
     /// verbs answer locally via handle(). A group whose upstream dies --
     /// or any sub-request that comes back retriable (Overloaded,
     /// ShuttingDown) -- re-routes through route_query() for the full
     /// per-replica failover treatment, so batch semantics are exactly
-    /// "N independent queries, faster". Returns one response per
+    /// "N independent queries, faster" -- a rescued query's deadline
+    /// budget counts from the batch's arrival. Returns one response per
     /// request, in request order.
     [[nodiscard]] std::vector<service::protocol::Response> handle_batch(
         const std::vector<service::protocol::Request>& requests);
@@ -135,21 +138,22 @@ private:
         // must never contend with the prober.
         std::atomic<std::uint64_t> consecutive_failures{0};
         std::atomic<bool> ejected{false};
-        std::atomic<bool> legacy{false};
         std::atomic<std::uint64_t> ejections{0};
         std::atomic<std::uint64_t> readmissions{0};
         std::unique_ptr<ConnectionPool> pool;
     };
 
+    /// Routes one query; its deadline budget counts from `start`.
     [[nodiscard]] service::protocol::Response route_query(
-        const service::protocol::Request& request);
+        const service::protocol::Request& request,
+        std::chrono::steady_clock::time_point start);
     [[nodiscard]] service::protocol::Response aggregate_metrics(
         service::protocol::MetricsFormat format);
     /// True when the response code should be answered by another replica.
     [[nodiscard]] static bool retriable(service::protocol::ErrorCode code);
     void note_success(Shard& shard);
     void note_failure(Shard& shard);
-    /// Probes one shard (health verb, metrics fallback); true on success.
+    /// Probes one shard with the health verb; true on success.
     bool probe_shard(std::size_t index);
     void prober_loop();
     [[nodiscard]] std::chrono::milliseconds backoff_delay(unsigned pass);

@@ -122,13 +122,7 @@ public:
     std::vector<Response> call_batch(
         const std::vector<Request>& requests) override {
         try {
-            // Shares the base-class trace memo with the Lease's
-            // single-call fallback, so a legacy verdict learned either way
-            // covers both paths.
-            return service::protocol::call_batch_over_fd(
-                fd_, requests, batch_supported_, trace_supported);
-        } catch (const TransportError&) {
-            throw;
+            return service::protocol::call_batch_over_fd(fd_, requests);
         } catch (const std::runtime_error& e) {
             throw TransportError{std::string{"upstream batch: "} + e.what()};
         }
@@ -136,9 +130,6 @@ public:
 
 private:
     int fd_;
-    /// v1.3 capability memo, per connection (a pool may span a fleet
-    /// upgrade; each fresh dial re-probes).
-    std::optional<bool> batch_supported_;
 };
 
 }  // namespace

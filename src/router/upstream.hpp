@@ -16,7 +16,6 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -57,8 +56,7 @@ public:
         const service::protocol::Request& request) = 0;
     /// Round-trips many requests, responses in request order. The base
     /// implementation loops over call(); TcpConnection overrides it with
-    /// v1.3 wire pipelining (one batch frame, tagged responses), falling
-    /// back to the sequential loop against pre-v1.3 shards. Throws
+    /// wire pipelining (one batch frame, tagged responses). Throws
     /// TransportError as call() does; the connection is then poisoned.
     [[nodiscard]] virtual std::vector<service::protocol::Response> call_batch(
         const std::vector<service::protocol::Request>& requests) {
@@ -67,12 +65,6 @@ public:
         for (const auto& request : requests) responses.push_back(call(request));
         return responses;
     }
-
-    /// v1.4 trace-header capability memo, per connection (a pool may span
-    /// a fleet upgrade; each fresh dial re-probes). Maintained by
-    /// ConnectionPool::Lease::call for every transport; TcpConnection
-    /// shares it with the wire-pipelined batch path.
-    std::optional<bool> trace_supported;
 };
 
 class Transport {
@@ -119,22 +111,7 @@ public:
         [[nodiscard]] service::protocol::Response call(
             const service::protocol::Request& request) {
             try {
-                service::protocol::Request outbound = request;
-                if (conn_->trace_supported == false) outbound.clear_trace();
-                auto response = conn_->call(outbound);
-                if (outbound.has_trace()) {
-                    if (service::protocol::is_unknown_trace_field(response)) {
-                        // Pre-v1.4 shard: memoize on the connection, strip
-                        // the header and retry once. Works for any
-                        // Transport -- the seam is above the wire.
-                        conn_->trace_supported = false;
-                        outbound.clear_trace();
-                        response = conn_->call(outbound);
-                    } else {
-                        conn_->trace_supported = true;
-                    }
-                }
-                return response;
+                return conn_->call(request);
             } catch (...) {
                 broken_ = true;
                 throw;

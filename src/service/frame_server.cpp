@@ -626,7 +626,7 @@ void FrameServer::dispatch_single(Reactor& reactor, Conn& conn,
     // Inline fast path: zero handoffs for requests the service can answer
     // from its caches with shared locks only.
     if (fast_handler_) {
-        // The v1.4 trace header scopes the handler so hot-path spans (and
+        // The trace header scopes the handler so hot-path spans (and
         // the access log) attach to the caller's trace.
         obs::trace::ContextScope trace_scope{obs::trace::TraceContext{
             request.trace_id, request.trace_parent, request.trace_flags}};
@@ -668,7 +668,7 @@ void FrameServer::dispatch_single(Reactor& reactor, Conn& conn,
 void FrameServer::flush_ready(Reactor& reactor, Conn& conn) {
     if (conn.fd < 0) return;
     // Move completed slots into the output queue. Untagged responses only
-    // flush from the head (strict request order, the pre-v1.3 contract);
+    // flush from the head (strict request order);
     // tagged responses flush as soon as they are done.
     bool blocked = false;
     for (auto it = conn.slots.begin(); it != conn.slots.end();) {

@@ -21,11 +21,10 @@
 //     served with zero thread handoffs. Everything else is dispatched to
 //     the *handler pool*, a bounded set of threads that may block (the
 //     service's admission control still bounds the real compute).
-//   * v1.3 pipelining: a connection may send any number of frames without
+//   * Pipelining: a connection may send any number of frames without
 //     waiting, including `batch` frames carrying many tagged requests.
 //     Each request gets a response slot; completed *tagged* slots flush
-//     out of order, untagged slots flush strictly in request order, so
-//     pre-v1.3 clients observe exactly the old sequential behavior.
+//     out of order, untagged slots flush strictly in request order.
 //   * Backpressure: a connection with too many pending slots or too many
 //     unflushed output bytes has EPOLLIN interest dropped until the
 //     client drains responses -- a slow reader throttles itself, never
@@ -96,7 +95,7 @@ public:
     using FastHandler =
         std::function<std::optional<protocol::Response>(const protocol::Request&)>;
     /// Optional whole-batch dispatch: one pool call answers all
-    /// sub-requests of a v1.3 batch frame (the router groups them by
+    /// sub-requests of a batch frame (the router groups them by
     /// shard and pipelines per upstream). Must return exactly one
     /// response per request, in order. Without it, batches expand into
     /// per-request dispatches across the handler pool.

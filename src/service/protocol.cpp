@@ -4,9 +4,10 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
+#include <system_error>
 #include <unordered_map>
 
 #include "engine/sha256.hpp"
@@ -38,15 +39,22 @@ bool next_line(std::string_view& text, std::string_view& key, std::string_view& 
     return true;
 }
 
+/// The two integer forms the encoders emit: a decimal without leading
+/// zeros, or "0x" and 1-16 hex digits. Signs, spaces, octal and overflow
+/// are rejected rather than reinterpreted.
 bool parse_u64(std::string_view text, std::uint64_t& out) {
-    if (text.empty()) return false;
-    char* end = nullptr;
-    const std::string copy{text};
-    errno = 0;
-    const unsigned long long v = std::strtoull(copy.c_str(), &end, 0);
-    if (errno != 0 || end != copy.c_str() + copy.size()) return false;
-    out = v;
-    return true;
+    int base = 10;
+    if (text.size() > 2 && text.substr(0, 2) == "0x") {
+        text.remove_prefix(2);
+        if (text.size() > 16) return false;
+        base = 16;
+    } else if (text.empty() || text[0] < '0' || text[0] > '9' ||
+               (text[0] == '0' && text.size() > 1)) {
+        return false;
+    }
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, out, base);
+    return ec == std::errc{} && ptr == end;
 }
 
 bool parse_bool(std::string_view text, bool& out) {
@@ -60,27 +68,20 @@ bool parse_bool(std::string_view text, bool& out) {
     return true;
 }
 
+/// Consumes the first line, which must be exactly kMagic.
 bool consume_magic(std::string_view& text, std::string* error) {
-    std::string_view key, value;
-    if (!next_line(text, key, value)) {
-        set_error(error, "bad magic line");
-        return false;
+    const std::size_t eol = text.find('\n');
+    const std::string_view line = text.substr(0, eol);
+    if (line == kMagic) {
+        text.remove_prefix(eol == std::string_view::npos ? text.size() : eol + 1);
+        return true;
     }
-    const std::string line = std::string{key} + ' ' + std::string{value};
-    // Exact "hsw-survey-rpc v1", or "hsw-survey-rpc v1.<digits>" from a
-    // peer that self-identifies a minor revision -- additive capabilities
-    // only, so any v1.x magic is acceptable.
-    if (line == kMagic) return true;
-    if (line.size() > kMagic.size() + 1 &&
-        line.compare(0, kMagic.size(), kMagic) == 0 &&
-        line[kMagic.size()] == '.') {
-        bool digits = true;
-        for (std::size_t i = kMagic.size() + 1; i < line.size(); ++i) {
-            if (line[i] < '0' || line[i] > '9') digits = false;
-        }
-        if (digits) return true;
+    if (error) {
+        // Echo a bounded prefix: the line is whatever the peer sent.
+        *error = "unsupported protocol version '";
+        error->append(line.substr(0, 64));
+        error->append("' (expected '").append(kMagic).append("')");
     }
-    set_error(error, "bad magic line");
     return false;
 }
 
@@ -285,7 +286,7 @@ std::optional<Request> parse_request(std::string_view text, std::string* error) 
                 return std::nullopt;
             }
         } else if (key == "trace") {
-            // v1.4: "<trace_id> <parent_span_id> <flags>".
+            // "<trace_id> <parent_span_id> <flags>".
             const std::size_t s1 = value.find(' ');
             const std::size_t s2 =
                 s1 == std::string_view::npos ? s1 : value.find(' ', s1 + 1);
@@ -440,12 +441,6 @@ std::optional<Response> parse_response(std::string_view text, std::string* error
     return resp;
 }
 
-bool is_unknown_trace_field(const Response& resp) {
-    return resp.code == ErrorCode::MalformedRequest &&
-           resp.payload_view().find("unknown request field: trace") !=
-               std::string_view::npos;
-}
-
 bool looks_like_batch(std::string_view text) {
     std::string_view probe = text;
     if (!consume_magic(probe, nullptr)) return false;
@@ -546,58 +541,13 @@ std::optional<std::string> read_frame(int fd) {
     return payload;
 }
 
-std::vector<Response> call_batch_over_fd(int fd,
-                                         const std::vector<Request>& requests,
-                                         std::optional<bool>& batch_supported,
-                                         std::optional<bool>& trace_supported) {
+std::vector<Response> call_batch_over_fd(int fd, const std::vector<Request>& requests) {
     std::vector<Response> responses;
     if (requests.empty()) return responses;
-    if (batch_supported == false) {
-        // Known pre-v1.3 peer: sequential call/response, no batch frames.
-        responses.reserve(requests.size());
-        for (const auto& request_in : requests) {
-            Request request = request_in;
-            if (trace_supported == false) request.clear_trace();
-            if (!write_frame(fd, request.encode())) {
-                throw std::runtime_error{"request write failed"};
-            }
-            auto frame = read_frame(fd);
-            if (!frame) throw std::runtime_error{"connection closed mid-response"};
-            std::string error;
-            auto response = parse_response(*frame, &error);
-            if (!response) {
-                throw std::runtime_error{"bad response frame: " + error};
-            }
-            if (request.has_trace() && trace_supported != false &&
-                is_unknown_trace_field(*response)) {
-                // Pre-v1.4 peer: remember, strip, resend this request.
-                trace_supported = false;
-                request.clear_trace();
-                if (!write_frame(fd, request.encode())) {
-                    throw std::runtime_error{"request write failed"};
-                }
-                frame = read_frame(fd);
-                if (!frame) {
-                    throw std::runtime_error{"connection closed mid-response"};
-                }
-                response = parse_response(*frame, &error);
-                if (!response) {
-                    throw std::runtime_error{"bad response frame: " + error};
-                }
-            } else if (request.has_trace()) {
-                trace_supported = true;
-            }
-            responses.push_back(std::move(*response));
-        }
-        return responses;
-    }
 
     // Tag every sub-request so out-of-order responses can be matched back
     // to their slot; caller-assigned nonzero tags are preserved.
     std::vector<Request> tagged{requests};
-    if (trace_supported == false) {
-        for (Request& req : tagged) req.clear_trace();
-    }
     std::unordered_map<std::uint64_t, std::size_t> slot_by_tag;
     std::uint64_t next_tag = 1;
     for (std::size_t i = 0; i < tagged.size(); ++i) {
@@ -620,26 +570,6 @@ std::vector<Response> call_batch_over_fd(int fd,
         std::string error;
         auto response = parse_response(*frame, &error);
         if (!response) throw std::runtime_error{"bad response frame: " + error};
-        if (received == 0 && response->tag == 0 &&
-            response->code == ErrorCode::MalformedRequest) {
-            if (trace_supported != false && is_unknown_trace_field(*response)) {
-                // v1.3 peer: it parsed the batch frame (so batching is
-                // fine) but rejected a traced sub-request. Strip and
-                // resend the whole batch.
-                trace_supported = false;
-                return call_batch_over_fd(fd, requests, batch_supported,
-                                          trace_supported);
-            }
-            if (!batch_supported.has_value()) {
-                // Capability probe failed: a pre-v1.3 peer rejected the
-                // whole batch frame with one untagged MalformedRequest.
-                // Fall back to sequential calls, now and for the life of
-                // this connection.
-                batch_supported = false;
-                return call_batch_over_fd(fd, requests, batch_supported,
-                                          trace_supported);
-            }
-        }
         const auto slot = slot_by_tag.find(response->tag);
         if (slot == slot_by_tag.end()) {
             throw std::runtime_error{"response carries unknown tag " +
@@ -648,15 +578,6 @@ std::vector<Response> call_batch_over_fd(int fd,
         responses[slot->second] = std::move(*response);
         slot_by_tag.erase(slot);
     }
-    batch_supported = true;
-    for (const Request& req : tagged) {
-        if (req.has_trace()) {
-            // The peer answered a traced sub-request without the v1.3
-            // rejection: it understands the header.
-            trace_supported = true;
-            break;
-        }
-    }
     // Sub-requests the caller left untagged get their responses untagged
     // again -- the wire tag was this helper's bookkeeping, not the
     // caller's.
@@ -664,13 +585,6 @@ std::vector<Response> call_batch_over_fd(int fd,
         if (requests[i].tag == 0) responses[i].tag = 0;
     }
     return responses;
-}
-
-std::vector<Response> call_batch_over_fd(int fd,
-                                         const std::vector<Request>& requests,
-                                         std::optional<bool>& batch_supported) {
-    std::optional<bool> trace_supported;
-    return call_batch_over_fd(fd, requests, batch_supported, trace_supported);
 }
 
 }  // namespace hsw::service::protocol

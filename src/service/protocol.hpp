@@ -1,68 +1,51 @@
-// The survey service's request/response protocol.
+// The survey service's request/response protocol, hsw-survey-rpc v2.
 //
 // Transport framing is a 4-byte big-endian payload length followed by the
 // payload -- trivially parseable from any language, bounded so a garbage
 // length can't allocate unbounded memory. Frame payloads are line-based
 // text headers (in the spirit of the spec's canonical serialization:
-// inspectable with a pager) followed by length-prefixed raw bytes:
+// inspectable with a pager) followed by length-prefixed raw bytes. A
+// request:
 //
-//   hsw-survey-rpc v1\n
+//   hsw-survey-rpc v2\n
 //   verb query\n
-//   experiment fig3\n
-//   point *\n                  ("*" = whole experiment, assembled artifacts)
-//   seed 0x0000000000c0ffee\n
-//   audit off\n
-//   quick 0\n
+//   experiment fig3\n          (query only)
+//   point *\n                  (query only; "*" = whole experiment)
+//   seed 0x0000000000c0ffee\n  (query only)
+//   audit off\n                (query only)
+//   quick 0\n                  (query only)
+//   format prometheus\n        (metrics only; or "json")
+//   tag 7\n                    (optional, nonzero)
+//   trace <trace_id> <parent_span_id> <flags>\n   (optional)
 //   deadline-ms 5000\n         (0 = no deadline)
 //
-// Since v1.1 a `metrics` verb scrapes the process-wide obs registry:
+// Verbs: `query` runs or looks up an experiment; `ping`, `stats`,
+// `shutdown`; `metrics` scrapes the process-wide obs registry (payload =
+// the exposition text); `health` is the fleet prober's liveness check
+// (payload "ok" while serving, "draining" once shutdown began);
+// `trace_dump` answers with the Chrome trace-event JSON of the server's
+// span ring; `dump` writes a flight-recorder snapshot and answers with its
+// path. Integers are a decimal without leading zeros or 0x plus 1-16 hex
+// digits -- the two forms the encoders emit.
 //
-//   hsw-survey-rpc v1\n
-//   verb metrics\n
-//   format prometheus\n        (or "json")
-//   deadline-ms 0\n
+// `tag` is a client-chosen correlation id echoed on the response. A
+// `batch` frame carries many requests at once for pipelining:
 //
-// The response payload is the exposition text. Parsers accept a magic of
-// "hsw-survey-rpc v1" or "hsw-survey-rpc v1.<minor>" so future minor
-// revisions can self-identify without breaking v1.0 peers.
-//
-// Since v1.2 a `health` verb gives fleet routers a cheap liveness /
-// readiness probe (response payload "ok" while serving, "draining" once
-// shutdown began). Pre-v1.2 servers answer it with MalformedRequest
-// ("unknown verb"); a router treats that as "legacy shard, probe via
-// metrics instead".
-//
-// Since v1.3 requests and responses may carry a `tag` header (non-zero
-// u64, chosen by the client) and a `batch` frame can carry many requests
-// at once for pipelining:
-//
-//   hsw-survey-rpc v1\n
+//   hsw-survey-rpc v2\n
 //   verb batch\n
 //   count 3\n
 //   <u32-BE len><encoded sub-request> x 3
 //
-// The server answers a batch with `count` individual response frames,
-// each echoing its sub-request's tag. Tagged responses may arrive in any
-// order (the server coalesces and flushes completions as they land);
-// untagged traffic keeps strict request order, so v1.0-v1.2 clients are
-// untouched. A pre-v1.3 server answers a batch frame with
-// MalformedRequest ("unknown verb") -- clients treat that one response as
-// a capability probe and fall back to single-request framing.
+// The server answers a batch with `count` individual response frames, each
+// echoing its sub-request's tag. Tagged responses may arrive in any order
+// (the server flushes completions as they land); untagged requests are
+// answered strictly in request order. A malformed batch is rejected whole
+// with one untagged MalformedRequest.
 //
-// Since v1.4 any request may carry a distributed trace context header
-// between `tag` and `deadline-ms`:
-//
-//   trace <trace_id> <parent_span_id> <flags>\n
-//
-// All three fields are hex/decimal u64-u64-u32 (encoders emit 0x-hex
-// ids). The header is pure telemetry: it never participates in
-// route_key, never changes payload bytes, and a pre-v1.4 server rejects
-// it with MalformedRequest ("unknown request field: trace") -- clients
-// treat that as a capability probe (see is_unknown_trace_field), strip
-// the header and retry, remembering the peer is legacy. v1.4 also adds
-// two debug verbs: `trace_dump` (response payload = the server's Chrome
-// trace-event JSON export) and `dump` (server writes a flight-recorder
-// snapshot; response payload = the file path).
+// `trace` carries the caller's distributed trace context (obs/ctx.hpp):
+// u64 trace id, u64 parent span id, u32 flags; encoders emit 0x-hex ids.
+// Like `tag`, it is pure telemetry: it never participates in route_key and
+// never changes payload bytes.
 //
 // Responses carry a status, a structured error code on rejection, the
 // payload's provenance (hot cache / disk cache / computed) on success, and
@@ -83,37 +66,25 @@
 
 namespace hsw::service::protocol {
 
-inline constexpr std::string_view kMagic = "hsw-survey-rpc v1";
-
-/// Protocol minor revision. The magic line stays "v1" on the wire (so v1.0
-/// peers interoperate untouched); parsers accept an optional ".<minor>"
-/// suffix, and the minor gates additive capabilities only:
-///   v1.1  adds the `metrics` verb and its `format` field.
-///   v1.2  adds the `health` verb and the Unavailable error code.
-///   v1.3  adds the `tag` request/response header and `batch` frames for
-///         request pipelining (out-of-order-safe tagged responses).
-///   v1.4  adds the optional `trace` request header (distributed trace
-///         context) and the `trace_dump` / `dump` debug verbs.
-/// A v1.0 server answers a v1.1-only verb with MalformedRequest ("unknown
-/// verb"), which v1.1 clients treat as "server predates metrics"; the same
-/// capability probe covers `health` against v1.1 shards, `batch` against
-/// v1.2 shards, and the `trace` header against v1.3 shards ("unknown
-/// request field: trace").
-inline constexpr unsigned kProtocolMinor = 4;
+/// The first line of every frame, naming the one protocol version. Every
+/// peer is built from this tree, so any wire change bumps it -- there are
+/// no minor revisions and no capability probes. A frame under any other
+/// first line gets one MalformedRequest naming both versions.
+inline constexpr std::string_view kMagic = "hsw-survey-rpc v2";
 
 /// Hard ceiling on a single frame, request or response. Large enough for
 /// any assembled survey artifact set, small enough that a malicious or
 /// corrupt length prefix cannot balloon memory.
 inline constexpr std::uint32_t kMaxFrameBytes = 64u << 20;
 
-/// Ceiling on sub-requests per v1.3 batch frame. Generous for pipelining
+/// Ceiling on sub-requests per batch frame. Generous for pipelining
 /// (hsw_query caps --pipeline far lower) while bounding the per-frame
 /// work a single connection can queue against the admission controller.
 inline constexpr std::uint32_t kMaxBatchRequests = 1024;
 
 enum class Verb { Ping, Query, Stats, Shutdown, Metrics, Health, TraceDump, Dump };
 
-/// Exposition format for the `metrics` verb (v1.1).
+/// Exposition format for the `metrics` verb.
 enum class MetricsFormat { Prometheus, Json };
 
 /// Structured rejection reasons; the numeric value is wire ABI, append only.
@@ -126,7 +97,7 @@ enum class ErrorCode {
     DeadlineExceeded = 5,  // request deadline elapsed before completion
     ShuttingDown = 6,      // service is draining
     Internal = 7,          // job threw; message carries the what()
-    Unavailable = 8,       // v1.2: router exhausted every replica of a shard
+    Unavailable = 8,       // router exhausted every replica of a shard
 };
 
 /// Provenance of a successful response's payload. A whole-experiment query
@@ -148,11 +119,11 @@ struct Request {
     bool quick = false;         // SurveyTuning::quick() parameters
     std::uint32_t deadline_ms = 0;  // 0 = none
     MetricsFormat format = MetricsFormat::Prometheus;  // metrics verb only
-    /// v1.3 pipelining correlation id; 0 = untagged (strict-order reply).
+    /// Pipelining correlation id; 0 = untagged (strict-order reply).
     /// Chosen by the client, echoed verbatim on the response, and excluded
     /// from route_key (it never affects payload bytes).
     std::uint64_t tag = 0;
-    /// v1.4 distributed trace context (obs/ctx.hpp semantics); trace_id 0
+    /// Distributed trace context (obs/ctx.hpp semantics); trace_id 0
     /// means "no context" and the header is omitted from the wire. Like
     /// tag, never part of route_key and never affects payload bytes.
     std::uint64_t trace_id = 0;
@@ -160,8 +131,6 @@ struct Request {
     std::uint32_t trace_flags = 0;    // kFlagSampled / kFlagForced
 
     [[nodiscard]] bool has_trace() const { return trace_id != 0; }
-    /// Remove the trace header (for retrying against a pre-v1.4 peer).
-    void clear_trace() { trace_id = trace_parent = 0; trace_flags = 0; }
 
     [[nodiscard]] std::string encode() const;
 };
@@ -190,7 +159,7 @@ struct Response {
     /// no multi-MB copy per response). `payload` is ignored while this is
     /// non-null. parse_response always fills `payload`.
     std::shared_ptr<const std::string> shared_payload;
-    /// v1.3: echo of the request's tag; 0 = untagged.
+    /// Echo of the request's tag; 0 = untagged.
     std::uint64_t tag = 0;
 
     [[nodiscard]] bool ok() const { return code == ErrorCode::None; }
@@ -209,16 +178,9 @@ struct Response {
 [[nodiscard]] std::optional<Response> parse_response(std::string_view text,
                                                      std::string* error = nullptr);
 
-/// True when `resp` is the pre-v1.4 rejection of the `trace` request
-/// header: MalformedRequest whose detail names the trace field. Clients
-/// treat it as a capability probe -- strip the header, retry, and
-/// remember the peer is legacy (the request is otherwise well-formed, so
-/// any other MalformedRequest stays a real error).
-[[nodiscard]] bool is_unknown_trace_field(const Response& resp);
+// --- Batch frames (request pipelining) ---
 
-// --- v1.3 batch frames (request pipelining) ---
-
-/// Cheap structural probe: does this frame start with the v1.x magic and
+/// Cheap structural check: does this frame start with the magic and
 /// `verb batch`? True means parse_batch() is the right parser (its failure
 /// is then a malformed *batch*, answered with one MalformedRequest frame
 /// for the whole batch); false means the frame is a plain single request.
@@ -248,28 +210,11 @@ bool write_frame(int fd, std::string_view payload);
 /// Client-side pipelining over a connected fd, shared by ServiceClient
 /// and the router's upstream connections: tags every sub-request, writes
 /// one batch frame, then reorders the (possibly out-of-order) tagged
-/// responses back into request order. `batch_supported` is the
-/// capability memo for this peer: nullopt means the call doubles as a
-/// probe -- a pre-v1.3 peer answers the unknown `batch` verb with one
-/// MalformedRequest frame, and the helper falls back to sequential
-/// call/response, recording false so later calls skip the probe. Caller-
-/// assigned nonzero tags are preserved; sub-requests the caller left
-/// untagged come back untagged. Throws std::runtime_error on transport
-/// or framing failure (the stream is then poisoned).
-///
-/// `trace_supported` is the v1.4 capability memo, independent of the
-/// batch one (a v1.3 peer pipelines fine but rejects the trace header):
-/// false strips trace headers before sending; nullopt lets the first
-/// traced request double as a probe -- on "unknown request field: trace"
-/// the helper records false, strips, and retries, so a legacy peer costs
-/// one extra round-trip once per connection and is transparent after.
+/// responses back into request order. Caller-assigned nonzero tags are
+/// preserved; sub-requests the caller left untagged come back untagged.
+/// Throws std::runtime_error on transport or framing failure (the stream
+/// is then poisoned).
 [[nodiscard]] std::vector<Response> call_batch_over_fd(
-    int fd, const std::vector<Request>& requests,
-    std::optional<bool>& batch_supported, std::optional<bool>& trace_supported);
-
-/// Overload with no trace memo: probes (and forgets) per call.
-[[nodiscard]] std::vector<Response> call_batch_over_fd(
-    int fd, const std::vector<Request>& requests,
-    std::optional<bool>& batch_supported);
+    int fd, const std::vector<Request>& requests);
 
 }  // namespace hsw::service::protocol

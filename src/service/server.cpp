@@ -33,6 +33,14 @@ sockaddr_in make_address(const std::string& host, std::uint16_t port) {
 
 }  // namespace
 
+void stamp_trace(protocol::Request& request) {
+    const obs::trace::TraceContext ctx = obs::trace::current_context();
+    if (!ctx.valid()) return;
+    request.trace_id = ctx.trace_id;
+    request.trace_parent = ctx.span_id;
+    request.trace_flags = ctx.flags;
+}
+
 SurveyServer::SurveyServer(ServerConfig cfg)
     : service_{std::make_unique<SurveyService>(cfg.service)} {
     FrameServerConfig front;
@@ -76,37 +84,16 @@ protocol::Response ServiceClient::call(const protocol::Request& request) {
     obs::trace::Span span{"client.call", "client"};
     if (span.armed()) span.set_label(protocol::name(request.verb));
     protocol::Request traced = request;
-    const obs::trace::TraceContext ctx = obs::trace::current_context();
-    if (ctx.valid() && trace_supported_ != false) {
-        traced.trace_id = ctx.trace_id;
-        traced.trace_parent = ctx.span_id;
-        traced.trace_flags = ctx.flags;
-    }
+    stamp_trace(traced);
     if (!protocol::write_frame(fd_, traced.encode())) {
         throw std::runtime_error{"request write failed"};
     }
-    auto frame = protocol::read_frame(fd_);
+    const auto frame = protocol::read_frame(fd_);
     if (!frame) throw std::runtime_error{"connection closed mid-response"};
     std::string error;
     auto response = protocol::parse_response(*frame, &error);
     if (!response) throw std::runtime_error{"bad response frame: " + error};
-    if (traced.has_trace()) {
-        if (protocol::is_unknown_trace_field(*response)) {
-            // Pre-v1.4 server: remember, strip, retry this one call.
-            trace_supported_ = false;
-            traced.clear_trace();
-            if (!protocol::write_frame(fd_, traced.encode())) {
-                throw std::runtime_error{"request write failed"};
-            }
-            frame = protocol::read_frame(fd_);
-            if (!frame) throw std::runtime_error{"connection closed mid-response"};
-            response = protocol::parse_response(*frame, &error);
-            if (!response) throw std::runtime_error{"bad response frame: " + error};
-        } else {
-            trace_supported_ = true;
-        }
-    }
-    return *response;
+    return std::move(*response);
 }
 
 std::vector<protocol::Response> ServiceClient::call_pipelined(
@@ -114,16 +101,8 @@ std::vector<protocol::Response> ServiceClient::call_pipelined(
     obs::trace::Span span{"client.call", "client"};
     if (span.armed()) span.set_label("batch");
     std::vector<protocol::Request> traced = requests;
-    const obs::trace::TraceContext ctx = obs::trace::current_context();
-    if (ctx.valid() && trace_supported_ != false) {
-        for (protocol::Request& req : traced) {
-            req.trace_id = ctx.trace_id;
-            req.trace_parent = ctx.span_id;
-            req.trace_flags = ctx.flags;
-        }
-    }
-    return protocol::call_batch_over_fd(fd_, traced, batch_supported_,
-                                        trace_supported_);
+    for (protocol::Request& req : traced) stamp_trace(req);
+    return protocol::call_batch_over_fd(fd_, traced);
 }
 
 }  // namespace hsw::service

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -71,16 +70,19 @@ private:
     std::unique_ptr<FrameServer> frontend_;  // after service_: stops first
 };
 
+/// Copies the calling thread's trace context (obs/ctx.hpp), if any, into
+/// `request`'s trace header, so the next hop's spans parent to the
+/// caller's current span.
+void stamp_trace(protocol::Request& request);
+
 /// Blocking protocol client used by hsw_query and the tests. One
 /// connection, synchronous call(); not thread-safe -- use one client per
 /// thread.
 ///
 /// Distributed tracing: when the calling thread carries a TraceContext
 /// (obs/ctx.hpp) each call opens a "client.call" span and stamps the
-/// request's v1.4 trace header from it, so the server's spans parent to
-/// this client's. A pre-v1.4 server rejecting the header is detected
-/// (is_unknown_trace_field), memoized per connection, and the call is
-/// transparently retried without the header.
+/// request's trace header from it, so the server's spans parent to this
+/// client's.
 class ServiceClient {
 public:
     /// Throws std::runtime_error when the connection fails.
@@ -94,32 +96,15 @@ public:
     /// std::runtime_error on transport or framing errors.
     [[nodiscard]] protocol::Response call(const protocol::Request& request);
 
-    /// Sends many requests as one v1.3 `batch` frame and returns the
-    /// responses in request order (the client tags each sub-request and
-    /// reorders tagged responses as they arrive). The first batch doubles
-    /// as a capability probe: a pre-v1.3 server answers the unknown verb
-    /// with MalformedRequest, and the client transparently falls back to
-    /// sequential single-request calls -- on this call and every later
-    /// one. Throws std::runtime_error on transport or framing errors.
+    /// Sends many requests as one `batch` frame and returns the responses
+    /// in request order (the client tags each sub-request and reorders
+    /// tagged responses as they arrive). Throws std::runtime_error on
+    /// transport or framing errors.
     [[nodiscard]] std::vector<protocol::Response> call_pipelined(
         const std::vector<protocol::Request>& requests);
 
-    /// True once call_pipelined has confirmed (or ruled out) server-side
-    /// batch support; unset before the first probe.
-    [[nodiscard]] std::optional<bool> batch_supported() const {
-        return batch_supported_;
-    }
-
-    /// True once a traced call has confirmed (or ruled out) server-side
-    /// v1.4 trace-header support; unset before the first traced call.
-    [[nodiscard]] std::optional<bool> trace_supported() const {
-        return trace_supported_;
-    }
-
 private:
     int fd_ = -1;
-    std::optional<bool> batch_supported_;
-    std::optional<bool> trace_supported_;
 };
 
 }  // namespace hsw::service

@@ -604,11 +604,11 @@ protocol::Response SurveyService::handle(const protocol::Request& request) {
                                    : obs::render_prometheus();
             return response;
         case protocol::Verb::TraceDump:
-            // v1.4 collector verb: this process's spans, ready to merge.
+            // Collector verb: this process's spans, ready to merge.
             response.payload = obs::trace::export_chrome_json();
             return response;
         case protocol::Verb::Dump: {
-            // v1.4 debug verb: write a flight dump, answer with its path.
+            // Debug verb: write a flight dump, answer with its path.
             const std::string path = obs::flight::dump("verb");
             if (path.empty()) {
                 response.code = ErrorCode::Internal;
@@ -623,7 +623,7 @@ protocol::Response SurveyService::handle(const protocol::Request& request) {
             response.payload = "draining";
             return response;
         case protocol::Verb::Health:
-            // v1.2 liveness/readiness probe: cheap enough for a router to
+            // Liveness/readiness probe: cheap enough for a router to
             // call every probe interval. "draining" tells the prober to
             // eject the shard before the listener actually closes.
             response.payload =

@@ -1,19 +1,26 @@
 // Router behaviour over the in-process LocalTransport: content routing,
 // connection pooling, replica failover, health ejection/readmission, the
-// v1.1 legacy capability probe, and fleet metrics aggregation.
+// background prober, deadline budgets, and fleet metrics aggregation.
+// RouterOverTcp runs the production path: a RouterServer over TcpTransport
+// in front of two in-process SurveyServer shards.
 #include "router/router.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/ctx.hpp"
 #include "obs/trace.hpp"
 #include "router/local_transport.hpp"
+#include "router/server.hpp"
 #include "service/protocol.hpp"
+#include "service/server.hpp"
+#include "service/service.hpp"
 #include "util/minijson.hpp"
 
 using namespace hsw;
@@ -30,13 +37,17 @@ using service::protocol::Verb;
 
 namespace {
 
-enum Mode : int { kOk, kOverloaded, kUnknownExperiment, kLegacyV11, kPreV14 };
+enum Mode : int { kOk, kOverloaded, kUnknownExperiment, kSlowOverloaded };
+
+/// How long a kSlowOverloaded shard works before it answers Overloaded.
+constexpr std::chrono::milliseconds kSlowAttempt{120};
 
 struct ShardSim {
     std::string name;
     std::atomic<int> mode{kOk};
     std::atomic<int> queries{0};
     std::atomic<std::uint64_t> last_trace_id{0};
+    std::atomic<std::uint32_t> last_deadline_ms{0};
 };
 
 constexpr const char* kShardMetricsJson =
@@ -59,12 +70,7 @@ struct Fixture {
                 [sim = sim.get()](const Request& request) {
                     Response r;
                     if (request.verb == Verb::Health) {
-                        if (sim->mode == kLegacyV11) {
-                            r.code = ErrorCode::MalformedRequest;
-                            r.payload = "unknown verb";
-                        } else {
-                            r.payload = "ok";
-                        }
+                        r.payload = "ok";
                         return r;
                     }
                     if (request.verb == Verb::Metrics) {
@@ -74,13 +80,12 @@ struct Fixture {
                     if (request.verb == Verb::Query) {
                         sim->queries.fetch_add(1);
                         sim->last_trace_id = request.trace_id;
+                        sim->last_deadline_ms = request.deadline_ms;
                     }
-                    if (sim->mode == kPreV14 && request.has_trace()) {
-                        r.code = ErrorCode::MalformedRequest;
-                        r.payload = "unknown request field: trace";
-                        return r;
+                    if (sim->mode == kSlowOverloaded) {
+                        std::this_thread::sleep_for(kSlowAttempt);
                     }
-                    if (sim->mode == kOverloaded) {
+                    if (sim->mode == kOverloaded || sim->mode == kSlowOverloaded) {
                         r.code = ErrorCode::Overloaded;
                         r.payload = "queue full";
                         return r;
@@ -266,33 +271,78 @@ TEST(RouterTest, RepeatedFailuresEjectAndProbeReadmits) {
     EXPECT_EQ(router.handle(req).payload, replicas[0]);
 }
 
-TEST(RouterTest, LegacyV11ShardIsProbedViaMetricsFallback) {
+TEST(RouterTest, ProberThreadReadmitsAnEjectedShard) {
+    // Same ejection as above, but readmission comes from the background
+    // prober's `health` sweep -- nobody calls probe_now().
     Fixture fx{2};
-    Router router = fx.make_router();
+    RouterConfig cfg = fx.config();
+    cfg.probe_interval = std::chrono::milliseconds{5};
+    Router router{FleetMap{fx.endpoints, {}}, fx.transport, cfg};
     const Request req = query();
     const auto replicas = replica_names(router, req);
     const std::string primary_addr = fx.address_of(replicas[0]);
+    const auto primary_health = [&]() {
+        for (const auto& h : router.shard_health()) {
+            if (h.name == replicas[0]) return h;
+        }
+        return router::ShardHealth{};
+    };
 
-    // The primary is an old v1.1 build: it serves queries but answers the
-    // v1.2 `health` verb with MalformedRequest("unknown verb").
-    fx.sim_named(replicas[0]).mode = kLegacyV11;
-
-    // Eject it via transport failures, then bring it back.
     fx.transport.set_down(primary_addr, true);
     EXPECT_TRUE(router.handle(req).ok());
     EXPECT_TRUE(router.handle(req).ok());
-    fx.transport.set_down(primary_addr, false);
+    ASSERT_TRUE(primary_health().ejected);
 
-    // The probe tries `health`, learns the peer is legacy, and proves
-    // liveness through `metrics` on the same connection.
-    router.probe_now();
-    for (const auto& h : router.shard_health()) {
-        if (h.name == replicas[0]) {
-            EXPECT_FALSE(h.ejected);
-            EXPECT_TRUE(h.legacy);
-            EXPECT_EQ(h.readmissions, 1u);
-        }
+    fx.transport.set_down(primary_addr, false);
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds{10};
+    while (primary_health().ejected && std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::sleep_for(std::chrono::milliseconds{2});
     }
+    EXPECT_FALSE(primary_health().ejected);
+    EXPECT_EQ(primary_health().readmissions, 1u);
+    EXPECT_EQ(router.handle(req).payload, replicas[0]);
+    router.stop();
+}
+
+TEST(RouterTest, DeadlineIsABudgetForTheWholeRoutedRequest) {
+    // Both replicas work for kSlowAttempt and then answer Overloaded. A
+    // 200 ms budget fits the primary's attempt and part of the replica's;
+    // after that it is spent, so the router must stop retrying and say so.
+    Fixture fx{2};
+    RouterConfig cfg = fx.config();
+    cfg.backoff_base = std::chrono::milliseconds{20};
+    Router router{FleetMap{fx.endpoints, {}}, fx.transport, cfg};
+    for (auto& sim : fx.sims) sim->mode = kSlowOverloaded;
+    Request req = query();
+    req.deadline_ms = 200;
+    const auto replicas = replica_names(router, req);
+
+    const Response response = router.handle(req);
+    EXPECT_EQ(response.code, ErrorCode::DeadlineExceeded) << response.payload;
+
+    const ShardSim& primary = fx.sim_named(replicas[0]);
+    const ShardSim& replica = fx.sim_named(replicas[1]);
+    EXPECT_EQ(primary.queries.load(), 1);
+    EXPECT_EQ(replica.queries.load(), 1);
+    EXPECT_EQ(router.stats().forwarded, 2u);
+    // The first attempt gets the whole budget; the second only what the
+    // first left of it.
+    EXPECT_EQ(primary.last_deadline_ms.load(), 200u);
+    EXPECT_GT(replica.last_deadline_ms.load(), 0u);
+    EXPECT_LT(replica.last_deadline_ms.load(),
+              200u - static_cast<std::uint32_t>(kSlowAttempt.count()) + 1);
+
+    // A batch's rescue gets only what its group call left: the group's
+    // attempt on the primary spends most of the budget, the rescue's one
+    // attempt (the primary again) carries the rest, and nothing follows.
+    for (auto& sim : fx.sims) sim->queries = 0;
+    const std::vector<Response> batch = router.handle_batch({req});
+    ASSERT_EQ(batch.size(), 1u);
+    EXPECT_EQ(batch[0].code, ErrorCode::DeadlineExceeded) << batch[0].payload;
+    EXPECT_EQ(primary.queries.load(), 2);
+    EXPECT_EQ(replica.queries.load(), 0);
+    EXPECT_LT(primary.last_deadline_ms.load(),
+              200u - static_cast<std::uint32_t>(kSlowAttempt.count()) + 1);
 }
 
 TEST(RouterTest, AllReplicasEjectedStillTriesRatherThanFailingBlind) {
@@ -361,7 +411,7 @@ TEST(RouterTest, ControlVerbsAnswerLocally) {
     }
 }
 
-// --- v1.4: trace propagation through failover --------------------------------
+// --- Trace propagation through failover ---------------------------------------
 
 namespace {
 
@@ -447,34 +497,6 @@ TEST(RouterTest, FailoverKeepsTraceIdMarksRetryAndForcesSampling) {
     EXPECT_EQ(retries, 1u);
 }
 
-TEST(RouterTest, PreV14ShardFallsBackThroughTheLeaseSeam) {
-    // The shard rejects traced requests with the capability probe answer.
-    // The pooled connection's Lease must strip, retry once, memoize, and
-    // never probe again on that connection.
-    Fixture fx{1};
-    for (auto& sim : fx.sims) sim->mode = kPreV14;
-    Router router = fx.make_router();
-    const Request req = query();
-
-    const auto root = obs::trace::make_root(true);
-    obs::trace::ContextScope scope{root};
-    const Response first = router.handle(req);
-    ASSERT_TRUE(first.ok()) << first.payload;
-    // The serving call arrived stripped.
-    EXPECT_EQ(fx.sims[0]->last_trace_id.load(), 0u);
-    // Probe + stripped retry = 2 upstream calls.
-    EXPECT_EQ(fx.sims[0]->queries.load(), 2);
-
-    // Second traced request: the memo skips the probe round-trip.
-    const Response second = router.handle(req);
-    ASSERT_TRUE(second.ok());
-    EXPECT_EQ(fx.sims[0]->queries.load(), 3);
-    EXPECT_EQ(fx.sims[0]->last_trace_id.load(), 0u);
-
-    // No failover was charged for the capability fallback.
-    EXPECT_EQ(router.stats().failovers, 0u);
-}
-
 TEST(RouterTest, V14ShardSeesTheRoutedTraceContext) {
     Fixture fx{1};
     Router router = fx.make_router();
@@ -486,4 +508,130 @@ TEST(RouterTest, V14ShardSeesTheRoutedTraceContext) {
     ASSERT_TRUE(response.ok());
     EXPECT_EQ(fx.sims[0]->last_trace_id.load(), root.trace_id);
     EXPECT_EQ(fx.sims[0]->queries.load(), 1);
+}
+
+// --- The routed production path over real sockets ----------------------------
+
+namespace {
+
+/// Two SurveyServer shards on ephemeral ports, a Router over TcpTransport
+/// with both shards in every replica set, and a RouterServer in front.
+struct TcpFleet {
+    std::vector<std::unique_ptr<service::SurveyServer>> shards;
+    std::vector<ShardEndpoint> endpoints;
+    router::TcpTransport transport;
+    std::unique_ptr<Router> router;
+    std::unique_ptr<router::RouterServer> front;
+
+    TcpFleet() {
+        for (unsigned i = 0; i < 2; ++i) {
+            service::ServerConfig cfg;
+            cfg.service.workers = 2;
+            shards.push_back(std::make_unique<service::SurveyServer>(cfg));
+            shards.back()->start();
+            // append: GCC 12's -Wrestrict misfires on `"s" + std::string`.
+            endpoints.push_back({std::string{"s"}.append(std::to_string(i)),
+                                 "127.0.0.1", shards.back()->port()});
+        }
+        RouterConfig cfg;
+        cfg.fleet.replicas = 2;
+        cfg.probe_interval = std::chrono::milliseconds{0};
+        cfg.backoff_base = std::chrono::milliseconds{0};
+        router = std::make_unique<Router>(FleetMap{endpoints, cfg.fleet}, transport, cfg);
+        front = std::make_unique<router::RouterServer>(*router);
+        front->start();
+    }
+
+    ~TcpFleet() {
+        front->stop();
+        router->stop();
+        for (auto& shard : shards) shard->stop();
+    }
+
+    /// `per_shard` quick whole-experiment queries whose primary is each
+    /// shard, interleaved: the batch maps to both shards by construction.
+    [[nodiscard]] std::vector<Request> batch(std::size_t per_shard) const {
+        static constexpr const char* kCheap[] = {"fig3", "fig4", "fig5", "fig6", "fig7"};
+        std::vector<std::vector<Request>> by_primary(shards.size());
+        for (std::uint64_t seed = 1;; ++seed) {
+            Request req;
+            req.verb = Verb::Query;
+            req.experiment = kCheap[seed % 5];
+            req.point = "*";
+            req.quick = true;
+            req.seed = seed;
+            auto& bucket = by_primary[router->fleet().primary(
+                service::protocol::route_key(req))];
+            if (bucket.size() < per_shard) bucket.push_back(std::move(req));
+            bool full = true;
+            for (const auto& b : by_primary) full = full && b.size() == per_shard;
+            if (full) break;
+        }
+        std::vector<Request> out;
+        for (std::size_t i = 0; i < per_shard; ++i) {
+            for (const auto& b : by_primary) out.push_back(b[i]);
+        }
+        return out;
+    }
+};
+
+/// What an unrouted, standalone service answers for `req`.
+std::string standalone_payload(const Request& req) {
+    static service::SurveyService reference{[] {
+        service::ServiceConfig cfg;
+        cfg.workers = 2;
+        return cfg;
+    }()};
+    const Response response = reference.handle(req);
+    EXPECT_TRUE(response.ok()) << response.payload_view();
+    return std::string{response.payload_view()};
+}
+
+}  // namespace
+
+TEST(RouterOverTcp, BatchThroughTheRouterMatchesAStandaloneService) {
+    TcpFleet fleet;
+    const std::vector<Request> window = fleet.batch(8);
+    ASSERT_EQ(window.size(), 16u);
+
+    service::ServiceClient client{"127.0.0.1", fleet.front->port()};
+    const std::vector<Response> responses = client.call_pipelined(window);
+    ASSERT_EQ(responses.size(), window.size());
+    for (std::size_t i = 0; i < window.size(); ++i) {
+        ASSERT_TRUE(responses[i].ok()) << i << ": " << responses[i].payload;
+        EXPECT_EQ(responses[i].payload, standalone_payload(window[i]))
+            << window[i].experiment << " seed " << window[i].seed;
+    }
+    const auto stats = fleet.router->stats();
+    EXPECT_EQ(stats.queries, window.size());
+    EXPECT_EQ(stats.failovers, 0u);
+    EXPECT_EQ(stats.unavailable, 0u);
+}
+
+TEST(RouterOverTcp, DeadShardGroupIsRescuedOntoTheSurvivingReplica) {
+    TcpFleet fleet;
+    const std::vector<Request> window = fleet.batch(8);
+
+    // Warm the pool: one routed query per shard leaves an idle upstream
+    // connection to each.
+    service::ServiceClient client{"127.0.0.1", fleet.front->port()};
+    const auto warm = client.call_pipelined({window[0], window[1]});
+    ASSERT_TRUE(warm[0].ok() && warm[1].ok());
+
+    // Kill shard 0 under the pooled connection. Its group's batch call
+    // dies mid-frame; every sub-request must fail over to shard 1.
+    fleet.shards[0]->stop();
+    const std::vector<Response> responses = client.call_pipelined(window);
+    ASSERT_EQ(responses.size(), window.size());
+    for (std::size_t i = 0; i < window.size(); ++i) {
+        ASSERT_TRUE(responses[i].ok()) << i << ": " << responses[i].payload;
+        EXPECT_EQ(responses[i].payload, standalone_payload(window[i]))
+            << window[i].experiment << " seed " << window[i].seed;
+    }
+
+    const auto stats = fleet.router->stats();
+    EXPECT_GT(stats.failovers, 0u);
+    EXPECT_EQ(stats.unavailable, 0u);
+    const router::ShardHealth& dead = stats.shards[0];
+    EXPECT_TRUE(dead.ejected || dead.consecutive_failures > 0);
 }

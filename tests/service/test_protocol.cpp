@@ -7,10 +7,10 @@
 #include <unistd.h>
 
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 using namespace hsw::service::protocol;
@@ -72,27 +72,62 @@ TEST(ProtocolTest, NonQueryVerbsOmitQueryFields) {
 
 TEST(ProtocolTest, RequestParseRejectsMalformedInput) {
     const struct {
-        const char* wire;
+        const char* body;  // everything after the magic line
         const char* why;
     } cases[] = {
-        {"not-the-magic\nverb ping\n", "bad magic"},
-        {"hsw-survey-rpc v1\n", "missing verb"},
-        {"hsw-survey-rpc v1\nverb frobnicate\n", "unknown verb"},
-        {"hsw-survey-rpc v1\nverb query\n", "query without experiment"},
-        {"hsw-survey-rpc v1\nverb query\nexperiment fig3\nseed zzz\n", "bad seed"},
-        {"hsw-survey-rpc v1\nverb query\nexperiment fig3\naudit loud\n", "bad audit"},
-        {"hsw-survey-rpc v1\nverb query\nexperiment fig3\nquick maybe\n",
-         "bad quick"},
-        {"hsw-survey-rpc v1\nverb ping\nbogus-field 1\n", "unknown field"},
-        {"hsw-survey-rpc v1\nverb query\nexperiment fig3\npoint\n", "empty point"},
-        {"hsw-survey-rpc v1\nverb ping\ndeadline-ms 99999999999\n",
-         "deadline overflow"},
+        {"", "missing verb"},
+        {"verb frobnicate\n", "unknown verb"},
+        {"verb query\n", "query without experiment"},
+        {"verb query\nexperiment fig3\nseed zzz\n", "bad seed"},
+        {"verb query\nexperiment fig3\naudit loud\n", "bad audit"},
+        {"verb query\nexperiment fig3\nquick maybe\n", "bad quick"},
+        {"verb ping\nbogus-field 1\n", "unknown field"},
+        {"verb query\nexperiment fig3\npoint\n", "empty point"},
+        {"verb ping\ndeadline-ms 99999999999\n", "deadline overflow"},
+        // Integers: a decimal without leading zeros, or 0x and 1-16 hex
+        // digits. Nothing else an encoder emits, so nothing else parses.
+        {"verb ping\ntag -1\n", "negative wraps to 2^64-1"},
+        {"verb ping\ntag 010\n", "leading zero (octal)"},
+        {"verb ping\ntag +5\n", "explicit sign"},
+        {"verb ping\ntag  5\n", "leading space"},
+        {"verb ping\ntag 5 \n", "trailing space"},
+        {"verb ping\ntag 0x\n", "hex prefix without digits"},
+        {"verb ping\ntag 0X1f\n", "uppercase hex prefix"},
+        {"verb ping\ntag 0x00000000000000001\n", "seventeen hex digits"},
+        {"verb ping\ntag 18446744073709551616\n", "decimal overflow"},
+        {"verb ping\ndeadline-ms 00\n", "zero with a leading zero"},
+        {"verb query\nexperiment fig3\nseed 0x1g\n", "bad hex digit"},
     };
     for (const auto& c : cases) {
+        const std::string wire = std::string{kMagic}.append("\n").append(c.body);
         std::string error;
-        EXPECT_FALSE(parse_request(c.wire, &error).has_value()) << c.why;
+        EXPECT_FALSE(parse_request(wire, &error).has_value()) << c.why;
         EXPECT_FALSE(error.empty()) << c.why;
     }
+    // The magic itself is matched exactly.
+    std::string error;
+    EXPECT_FALSE(parse_request("not-the-magic\nverb ping\n", &error).has_value());
+    EXPECT_FALSE(error.empty());
+}
+
+TEST(ProtocolTest, StrictIntegersStillAcceptEveryEncodedForm) {
+    const std::string head = std::string{kMagic}.append("\nverb ping\n");
+    for (const auto& [line, tag] :
+         std::vector<std::pair<std::string, std::uint64_t>>{
+             {"tag 1\n", 1},
+             {"tag 18446744073709551615\n", 0xFFFFFFFFFFFFFFFFull},
+             {"tag 0x1\n", 1},
+             {"tag 0xffffffffffffffff\n", 0xFFFFFFFFFFFFFFFFull},
+             {"tag 0x00000000000000AB\n", 0xAB},
+         }) {
+        std::string error;
+        const auto parsed = parse_request(std::string{head}.append(line), &error);
+        ASSERT_TRUE(parsed.has_value()) << line << error;
+        EXPECT_EQ(parsed->tag, tag) << line;
+    }
+    const auto zero = parse_request(std::string{head}.append("deadline-ms 0\n"));
+    ASSERT_TRUE(zero.has_value());
+    EXPECT_EQ(zero->deadline_ms, 0u);
 }
 
 TEST(ProtocolTest, SuccessResponseRoundTrip) {
@@ -123,17 +158,24 @@ TEST(ProtocolTest, ErrorResponseRoundTrip) {
 }
 
 TEST(ProtocolTest, ResponseParseRejectsLengthMismatch) {
-    std::string wire = "hsw-survey-rpc v1\nstatus ok\nsource computed\n";
-    wire += "payload-bytes 10\nshort";  // claims 10, carries 5
+    const std::string head = std::string{kMagic}.append("\nstatus ok\nsource computed\n");
     std::string error;
-    EXPECT_FALSE(parse_response(wire, &error).has_value());
+    // Claims 10, carries 5.
+    EXPECT_FALSE(parse_response(std::string{head}.append("payload-bytes 10\nshort"), &error)
+                     .has_value());
+    EXPECT_EQ(error, "payload length mismatch");
+    // 010 is not eight: the length must be a plain decimal.
+    EXPECT_FALSE(
+        parse_response(std::string{head}.append("payload-bytes 010\neightbyt"), &error)
+            .has_value());
     EXPECT_EQ(error, "payload length mismatch");
 }
 
 TEST(ProtocolTest, ResponseParseRejectsErrorWithoutCode) {
     std::string error;
     EXPECT_FALSE(
-        parse_response("hsw-survey-rpc v1\nstatus error\npayload-bytes 0\n", &error)
+        parse_response(std::string{kMagic}.append("\nstatus error\npayload-bytes 0\n"),
+                       &error)
             .has_value());
     EXPECT_EQ(error, "error status without code");
 }
@@ -217,7 +259,7 @@ TEST(ProtocolTest, MetricsVerbRoundTripsWithFormat) {
 }
 
 TEST(ProtocolTest, MetricsFormatDefaultsToPrometheus) {
-    const auto parsed = parse_request("hsw-survey-rpc v1\nverb metrics\n");
+    const auto parsed = parse_request(std::string{kMagic}.append("\nverb metrics\n"));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(parsed->verb, Verb::Metrics);
     EXPECT_EQ(parsed->format, MetricsFormat::Prometheus);
@@ -226,56 +268,30 @@ TEST(ProtocolTest, MetricsFormatDefaultsToPrometheus) {
 TEST(ProtocolTest, MetricsFormatRejectsUnknownValue) {
     std::string error;
     EXPECT_FALSE(
-        parse_request("hsw-survey-rpc v1\nverb metrics\nformat xml\n", &error)
+        parse_request(std::string{kMagic}.append("\nverb metrics\nformat xml\n"), &error)
             .has_value());
     EXPECT_EQ(error, "bad metrics format");
 }
 
-TEST(ProtocolTest, MinorRevisionMagicIsAccepted) {
-    // A v1.<minor> peer self-identifies additive capabilities; both sides
-    // must still parse its frames.
-    const auto parsed = parse_request("hsw-survey-rpc v1.1\nverb ping\n");
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(parsed->verb, Verb::Ping);
-
-    const auto response =
-        parse_response("hsw-survey-rpc v1.42\nstatus ok\nsource computed\n"
-                       "payload-bytes 2\nok");
-    ASSERT_TRUE(response.has_value());
-    EXPECT_EQ(response->payload, "ok");
-}
-
 TEST(ProtocolTest, MajorRevisionOrJunkMagicIsRejected) {
-    std::string error;
-    EXPECT_FALSE(parse_request("hsw-survey-rpc v2\nverb ping\n", &error).has_value());
-    EXPECT_FALSE(parse_request("hsw-survey-rpc v1.x\nverb ping\n").has_value());
-    EXPECT_FALSE(parse_request("hsw-survey-rpc v1.\nverb ping\n").has_value());
-}
-
-TEST(ProtocolTest, OldServerAnswersMetricsVerbWithUnknownVerb) {
-    // Capability detection: a v1.0 server has no Metrics case in its verb
-    // table, so the client sees MalformedRequest("unknown verb") and falls
-    // back. Simulate the old parser by feeding a verb it never knew.
-    std::string error;
-    EXPECT_FALSE(
-        parse_request("hsw-survey-rpc v1\nverb telemetry\n", &error).has_value());
-    EXPECT_EQ(error, "unknown verb");
-}
-
-TEST(ProtocolTest, MultiDigitMinorRevisionIsAccepted) {
-    // "v1.10" must parse as minor ten, not be confused with "v1.1" plus a
-    // stray zero: the minor is the whole digit run after the dot.
-    const auto parsed = parse_request("hsw-survey-rpc v1.10\nverb ping\n");
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(parsed->verb, Verb::Ping);
-}
-
-TEST(ProtocolTest, TrailingJunkAfterMinorIsRejected) {
-    // Additive minors are digits only; any suffix is a different (future,
-    // incompatible) dialect and must not half-parse.
-    EXPECT_FALSE(parse_request("hsw-survey-rpc v1.2beta\nverb ping\n").has_value());
-    EXPECT_FALSE(parse_request("hsw-survey-rpc v1.2.3\nverb ping\n").has_value());
-    EXPECT_FALSE(parse_request("hsw-survey-rpc v1.2 \nverb ping\n").has_value());
+    EXPECT_EQ(kMagic, "hsw-survey-rpc v2");
+    // Any other first line -- an older or newer version, a minor suffix,
+    // trailing junk -- gets one error naming what came and what is spoken.
+    for (const char* magic : {"hsw-survey-rpc v1", "hsw-survey-rpc v3", "hsw-survey-rpc v2.1",
+                              "hsw-survey-rpc v2 ", "hsw-survey-rpc v1.4"}) {
+        const std::string wire = std::string{magic}.append("\nverb ping\n");
+        std::string error;
+        EXPECT_FALSE(parse_request(wire, &error).has_value()) << magic;
+        EXPECT_EQ(error, std::string{"unsupported protocol version '"}
+                             .append(magic)
+                             .append("' (expected 'hsw-survey-rpc v2')"));
+        EXPECT_FALSE(looks_like_batch(std::string{magic}.append("\nverb batch\n")))
+            << magic;
+        EXPECT_FALSE(
+            parse_response(std::string{magic}.append("\nstatus ok\npayload-bytes 0\n"))
+                .has_value())
+            << magic;
+    }
 }
 
 TEST(ProtocolTest, HealthVerbRoundTrips) {
@@ -286,16 +302,6 @@ TEST(ProtocolTest, HealthVerbRoundTrips) {
     const auto parsed = parse_request(wire);
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(parsed->verb, Verb::Health);
-}
-
-TEST(ProtocolTest, HealthVerbAgainstV11ServerIsUnknownVerb) {
-    // The router's capability probe depends on this exact failure mode: a
-    // v1.1 shard rejects `health` as an unknown verb (MalformedRequest on
-    // the wire), and the router falls back to probing via `metrics`.
-    std::string error;
-    EXPECT_FALSE(
-        parse_request("hsw-survey-rpc v1\nverb nothealth\n", &error).has_value());
-    EXPECT_EQ(error, "unknown verb");
 }
 
 TEST(ProtocolTest, UnavailableCodeRoundTrips) {
@@ -336,7 +342,7 @@ TEST(ProtocolTest, RouteKeyIsContentIdentityOnly) {
     EXPECT_NE(route_key(other), key);
 }
 
-// --- v1.3: tags and batch frames ---------------------------------------------
+// --- Tags and batch frames ----------------------------------------------------
 
 TEST(ProtocolTest, TagRoundTripsAndDefaultsToUntagged) {
     Request req;
@@ -475,10 +481,8 @@ TEST(ProtocolTest, CallBatchReordersTaggedResponses) {
         }
     }};
 
-    std::optional<bool> batch_supported;
-    const auto responses = call_batch_over_fd(fds.client, requests, batch_supported);
+    const auto responses = call_batch_over_fd(fds.client, requests);
     server.join();
-    EXPECT_EQ(batch_supported, true);
     ASSERT_EQ(responses.size(), 3u);
     for (std::size_t i = 0; i < responses.size(); ++i) {
         EXPECT_EQ(responses[i].payload, "payload for fig" + std::to_string(i));
@@ -489,53 +493,15 @@ TEST(ProtocolTest, CallBatchReordersTaggedResponses) {
     EXPECT_EQ(responses[2].tag, 99u);
 }
 
-TEST(ProtocolTest, CallBatchFallsBackAgainstPreV13Server) {
-    StreamPair fds;
-    std::vector<Request> requests(2);
-    requests[0].verb = Verb::Ping;
-    requests[1].verb = Verb::Ping;
-
-    std::thread server{[&fds] {
-        // A pre-v1.3 server: rejects the batch frame whole with one
-        // untagged MalformedRequest, then answers singles normally.
-        const auto frame = read_frame(fds.server);
-        ASSERT_TRUE(frame.has_value());
-        ASSERT_TRUE(looks_like_batch(*frame));
-        Response reject;
-        reject.code = ErrorCode::MalformedRequest;
-        reject.payload = "unknown verb";
-        ASSERT_TRUE(write_frame(fds.server, reject.encode()));
-        for (int i = 0; i < 2; ++i) {
-            const auto single = read_frame(fds.server);
-            ASSERT_TRUE(single.has_value());
-            ASSERT_FALSE(looks_like_batch(*single));
-            Response resp;
-            resp.payload = "pong";
-            ASSERT_TRUE(write_frame(fds.server, resp.encode()));
-        }
-    }};
-
-    std::optional<bool> batch_supported;
-    const auto responses = call_batch_over_fd(fds.client, requests, batch_supported);
-    server.join();
-    EXPECT_EQ(batch_supported, false);  // memoized: next call skips the probe
-    ASSERT_EQ(responses.size(), 2u);
-    EXPECT_EQ(responses[0].payload, "pong");
-    EXPECT_EQ(responses[1].payload, "pong");
-}
-
 TEST(ProtocolTest, CallBatchRejectsDuplicateCallerTags) {
     StreamPair fds;
     std::vector<Request> requests(2);
     requests[0].tag = 5;
     requests[1].tag = 5;
-    std::optional<bool> batch_supported;
-    EXPECT_THROW(
-        { (void)call_batch_over_fd(fds.client, requests, batch_supported); },
-        std::runtime_error);
+    EXPECT_THROW({ (void)call_batch_over_fd(fds.client, requests); }, std::runtime_error);
 }
 
-// --- v1.4: trace context header and capability fallback ----------------------
+// --- Trace context header -----------------------------------------------------
 
 TEST(ProtocolTest, TraceHeaderRoundTripsAndDefaultsToNone) {
     Request req;
@@ -555,7 +521,7 @@ TEST(ProtocolTest, TraceHeaderRoundTripsAndDefaultsToNone) {
 
     // An untraced request omits the header entirely.
     Request plain = req;
-    plain.clear_trace();
+    plain.trace_id = 0;
     EXPECT_FALSE(plain.has_trace());
     EXPECT_EQ(plain.encode().find("trace "), std::string::npos);
     const auto plain_parsed = parse_request(plain.encode());
@@ -590,36 +556,14 @@ TEST(ProtocolTest, MalformedTraceHeaderIsRejected) {
         {"trace 0x1 0x2 banana\n"},        // bad flags
     };
     for (const auto& c : cases) {
-        const std::string wire = std::string{"hsw-survey-rpc v1\nverb ping\n"} +
-                                 c.trace_line + "deadline-ms 0\n";
+        const std::string wire = std::string{kMagic}
+                                     .append("\nverb ping\n")
+                                     .append(c.trace_line)
+                                     .append("deadline-ms 0\n");
         std::string error;
         EXPECT_FALSE(parse_request(wire, &error).has_value()) << c.trace_line;
         EXPECT_NE(error.find("trace"), std::string::npos) << error;
     }
-}
-
-TEST(ProtocolTest, IsUnknownTraceFieldMatchesOnlyTheCapabilityProbe) {
-    Response probe;
-    probe.code = ErrorCode::MalformedRequest;
-    probe.payload = "unknown request field: trace";
-    EXPECT_TRUE(is_unknown_trace_field(probe));
-
-    // The v1.3 batch wrapper of the same rejection counts too.
-    Response batched = probe;
-    batched.payload = "batch sub-request 2: unknown request field: trace";
-    EXPECT_TRUE(is_unknown_trace_field(batched));
-
-    Response other_field = probe;
-    other_field.payload = "unknown request field: frobnicate";
-    EXPECT_FALSE(is_unknown_trace_field(other_field));
-
-    Response other_code = probe;
-    other_code.code = ErrorCode::Overloaded;
-    EXPECT_FALSE(is_unknown_trace_field(other_code));
-
-    Response success;
-    success.payload = "unknown request field: trace";
-    EXPECT_FALSE(is_unknown_trace_field(success));
 }
 
 TEST(ProtocolTest, TraceDumpAndDumpVerbsRoundTrip) {
@@ -634,96 +578,7 @@ TEST(ProtocolTest, TraceDumpAndDumpVerbsRoundTrip) {
     EXPECT_EQ(name(Verb::Dump), "dump");
 }
 
-TEST(ProtocolTest, CallBatchStripsTraceForKnownLegacyPeer) {
-    // trace_supported == false: the helper strips headers up front; the
-    // scripted v1.3 server never sees one and no probe round-trip happens.
-    StreamPair fds;
-    std::vector<Request> requests(2);
-    for (auto& r : requests) {
-        r.verb = Verb::Ping;
-        r.trace_id = 0x1111;
-        r.trace_parent = 0x2222;
-        r.trace_flags = 1;
-    }
-
-    std::thread server{[&fds] {
-        const auto frame = read_frame(fds.server);
-        ASSERT_TRUE(frame.has_value());
-        ASSERT_TRUE(looks_like_batch(*frame));
-        const auto batch = parse_batch(*frame);
-        ASSERT_TRUE(batch.has_value());
-        for (const auto& sub : *batch) {
-            EXPECT_FALSE(sub.has_trace());
-            Response resp;
-            resp.payload = "pong";
-            resp.tag = sub.tag;
-            ASSERT_TRUE(write_frame(fds.server, resp.encode()));
-        }
-    }};
-
-    std::optional<bool> batch_supported = true;
-    std::optional<bool> trace_supported = false;
-    const auto responses =
-        call_batch_over_fd(fds.client, requests, batch_supported, trace_supported);
-    server.join();
-    ASSERT_EQ(responses.size(), 2u);
-    EXPECT_EQ(responses[0].payload, "pong");
-    EXPECT_EQ(trace_supported, false);
-}
-
-TEST(ProtocolTest, CallBatchProbesTraceAndFallsBackWithoutLosingBatch) {
-    // A v1.3 peer: batches fine, rejects the trace header. The first
-    // batched attempt comes back "batch sub-request 0: unknown request
-    // field: trace"; the helper must memoize trace_supported=false, keep
-    // batch_supported=true, strip headers and retry the SAME batch.
-    StreamPair fds;
-    std::vector<Request> requests(2);
-    for (auto& r : requests) {
-        r.verb = Verb::Ping;
-        r.trace_id = 0x3333;
-        r.trace_flags = 1;
-    }
-
-    std::thread server{[&fds] {
-        // Round 1: traced batch -> the v1.3 sub-request rejection.
-        auto frame = read_frame(fds.server);
-        ASSERT_TRUE(frame.has_value());
-        ASSERT_TRUE(looks_like_batch(*frame));
-        {
-            Response reject;
-            reject.code = ErrorCode::MalformedRequest;
-            reject.payload = "batch sub-request 0: unknown request field: trace";
-            ASSERT_TRUE(write_frame(fds.server, reject.encode()));
-        }
-        // Round 2: the same batch, headers stripped.
-        frame = read_frame(fds.server);
-        ASSERT_TRUE(frame.has_value());
-        ASSERT_TRUE(looks_like_batch(*frame));
-        const auto batch = parse_batch(*frame);
-        ASSERT_TRUE(batch.has_value());
-        ASSERT_EQ(batch->size(), 2u);
-        for (const auto& sub : *batch) {
-            EXPECT_FALSE(sub.has_trace());
-            Response resp;
-            resp.payload = "pong";
-            resp.tag = sub.tag;
-            ASSERT_TRUE(write_frame(fds.server, resp.encode()));
-        }
-    }};
-
-    std::optional<bool> batch_supported;
-    std::optional<bool> trace_supported;
-    const auto responses =
-        call_batch_over_fd(fds.client, requests, batch_supported, trace_supported);
-    server.join();
-    EXPECT_EQ(batch_supported, true);
-    EXPECT_EQ(trace_supported, false);
-    ASSERT_EQ(responses.size(), 2u);
-    EXPECT_EQ(responses[0].payload, "pong");
-    EXPECT_EQ(responses[1].payload, "pong");
-}
-
-TEST(ProtocolTest, CallBatchRecordsTraceSupportOnSuccess) {
+TEST(ProtocolTest, CallBatchForwardsTraceHeaders) {
     StreamPair fds;
     std::vector<Request> requests(1);
     requests[0].verb = Verb::Ping;
@@ -736,19 +591,15 @@ TEST(ProtocolTest, CallBatchRecordsTraceSupportOnSuccess) {
         const auto batch = parse_batch(*frame);
         ASSERT_TRUE(batch.has_value());
         ASSERT_EQ(batch->size(), 1u);
-        EXPECT_TRUE((*batch)[0].has_trace());  // v1.4 peer keeps the header
+        EXPECT_EQ((*batch)[0].trace_id, 0x4444u);
         Response resp;
         resp.payload = "pong";
         resp.tag = (*batch)[0].tag;
         ASSERT_TRUE(write_frame(fds.server, resp.encode()));
     }};
 
-    std::optional<bool> batch_supported;
-    std::optional<bool> trace_supported;
-    const auto responses =
-        call_batch_over_fd(fds.client, requests, batch_supported, trace_supported);
+    const auto responses = call_batch_over_fd(fds.client, requests);
     server.join();
-    EXPECT_EQ(trace_supported, true);
     ASSERT_EQ(responses.size(), 1u);
     EXPECT_EQ(responses[0].payload, "pong");
 }

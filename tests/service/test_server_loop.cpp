@@ -1,5 +1,5 @@
 // SurveyServer: loopback round trips, malformed-frame handling, connection
-// admission, and the shutdown verb.
+// admission, backpressure, and the shutdown verb.
 #include "service/server.hpp"
 
 #include <gtest/gtest.h>
@@ -9,8 +9,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -49,9 +51,14 @@ ServerConfig fast_config() {
     return cfg;
 }
 
-int connect_raw(std::uint16_t port) {
+/// Blocking loopback connection; a nonzero `rcvbuf` shrinks the socket's
+/// receive buffer before connect().
+int connect_raw(std::uint16_t port, int rcvbuf = 0) {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     EXPECT_GE(fd, 0);
+    if (rcvbuf > 0) {
+        EXPECT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf), 0);
+    }
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(port);
@@ -122,6 +129,19 @@ TEST(ServerLoop, GarbageFrameGetsMalformedRequestNotDisconnect) {
     const auto response = protocol::parse_response(*frame);
     ASSERT_TRUE(response.has_value());
     EXPECT_EQ(response->code, protocol::ErrorCode::MalformedRequest);
+
+    // A well-formed request under an older magic gets exactly one
+    // rejection that names both versions.
+    ASSERT_TRUE(protocol::write_frame(fd, "hsw-survey-rpc v1\nverb ping\n"));
+    const auto old_frame = protocol::read_frame(fd);
+    ASSERT_TRUE(old_frame.has_value());
+    const auto old_magic = protocol::parse_response(*old_frame);
+    ASSERT_TRUE(old_magic.has_value());
+    EXPECT_EQ(old_magic->code, protocol::ErrorCode::MalformedRequest);
+    EXPECT_NE(old_magic->payload.find("'hsw-survey-rpc v1'"), std::string::npos)
+        << old_magic->payload;
+    EXPECT_NE(old_magic->payload.find(protocol::kMagic), std::string::npos)
+        << old_magic->payload;
 
     // The connection survives: a well-formed request still works.
     protocol::Request ping;
@@ -327,6 +347,75 @@ TEST(ServerLoop, MalformedBatchRejectedWholeAndConnectionSurvives) {
     server.stop();
 }
 
+TEST(ServerLoop, PausedReadsResumeOnceTheClientDrains) {
+    // Every reply is far larger than max_output_bytes, and the client's
+    // receive buffer is tiny, so the reactor must stop reading this
+    // connection after the first burst. Replies come from the fast
+    // handler, so nothing but FrameServer::on_writable can resume reads.
+    FrameServerConfig cfg;
+    cfg.reactor_threads = 1;
+    cfg.max_output_bytes = 64u << 10;
+    cfg.metric_prefix = "hsw_test_backpressure";
+    FrameServer server{cfg, [](const protocol::Request&) { return protocol::Response{}; }};
+    std::atomic<int> handled{0};
+    const std::string filler(256u << 10, 'x');
+    server.set_fast_handler([&handled, &filler](const protocol::Request& request)
+                                -> std::optional<protocol::Response> {
+        handled.fetch_add(1);
+        protocol::Response response;
+        response.payload = request.verb == protocol::Verb::Ping
+                               ? std::string{"pong"}
+                               : std::string{request.experiment}.append(filler);
+        return response;
+    });
+    server.start();
+    const int fd = connect_raw(server.port(), 16 << 10);
+
+    // 32 x 256 KiB of replies: more than the socket buffers can hold.
+    constexpr int kBurst = 32;
+    std::string burst;
+    for (int i = 0; i < kBurst; ++i) {
+        protocol::Request req;
+        req.verb = protocol::Verb::Query;
+        req.experiment = std::to_string(i).append(":");
+        burst += raw_frame(req.encode());
+    }
+    write_all_raw(fd, burst.data(), burst.size());
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds{10};
+    while (handled.load() < kBurst && std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::sleep_for(std::chrono::milliseconds{1});
+    }
+    ASSERT_EQ(handled.load(), kBurst);
+
+    // The burst was parsed in full, so this ping arrives on a later read
+    // -- which the paused connection must not do yet.
+    protocol::Request ping;
+    ping.verb = protocol::Verb::Ping;
+    const std::string tail = raw_frame(ping.encode());
+    write_all_raw(fd, tail.data(), tail.size());
+    std::this_thread::sleep_for(std::chrono::milliseconds{50});
+    EXPECT_EQ(handled.load(), kBurst) << "the reactor kept reading a backlogged connection";
+
+    // Drain: every reply in request order, then the ping's.
+    for (int i = 0; i < kBurst; ++i) {
+        const auto frame = protocol::read_frame(fd);
+        ASSERT_TRUE(frame.has_value()) << i;
+        const auto response = protocol::parse_response(*frame);
+        ASSERT_TRUE(response.has_value()) << i;
+        const std::string want = std::to_string(i).append(":");
+        EXPECT_EQ(response->payload.compare(0, want.size(), want), 0) << i;
+        EXPECT_EQ(response->payload.size(), want.size() + filler.size()) << i;
+    }
+    const auto pong = protocol::read_frame(fd);
+    ASSERT_TRUE(pong.has_value());
+    const auto pong_response = protocol::parse_response(*pong);
+    ASSERT_TRUE(pong_response.has_value());
+    EXPECT_EQ(pong_response->payload, "pong");
+    EXPECT_EQ(handled.load(), kBurst + 1);
+    ::close(fd);
+    server.stop();
+}
+
 TEST(ServerLoop, PipelinedReplayIsByteIdenticalToSingleCalls) {
     SurveyServer server{fast_config()};
     server.start();
@@ -341,7 +430,6 @@ TEST(ServerLoop, PipelinedReplayIsByteIdenticalToSingleCalls) {
 
     const std::vector<protocol::Request> window(8, req);
     const auto responses = client.call_pipelined(window);
-    EXPECT_EQ(client.batch_supported(), true);
     ASSERT_EQ(responses.size(), window.size());
     for (const auto& response : responses) {
         ASSERT_TRUE(response.ok());
@@ -351,39 +439,7 @@ TEST(ServerLoop, PipelinedReplayIsByteIdenticalToSingleCalls) {
     server.stop();
 }
 
-// --- v1.4: distributed trace context ----------------------------------------
-
-namespace {
-
-/// Scripted legacy peer: a raw listening socket whose accept loop the test
-/// drives frame by frame, for exercising the client's capability fallback
-/// against servers that predate v1.4.
-struct RawListener {
-    int listen_fd = -1;
-    std::uint16_t port = 0;
-    RawListener() {
-        listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-        EXPECT_GE(listen_fd, 0);
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        EXPECT_EQ(::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr),
-                         sizeof addr),
-                  0);
-        socklen_t len = sizeof addr;
-        EXPECT_EQ(::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr),
-                                &len),
-                  0);
-        port = ntohs(addr.sin_port);
-        EXPECT_EQ(::listen(listen_fd, 1), 0);
-    }
-    ~RawListener() {
-        if (listen_fd >= 0) ::close(listen_fd);
-    }
-    [[nodiscard]] int accept() const { return ::accept(listen_fd, nullptr, nullptr); }
-};
-
-}  // namespace
+// --- Distributed trace context ----------------------------------------------
 
 TEST(ServerLoop, TracedQueryLinksClientAndServerSpans) {
     // Client and server share this process, so both ends' spans land in
@@ -435,99 +491,6 @@ TEST(ServerLoop, TraceDumpVerbReturnsTheSpanRing) {
     server.stop();
     obs::trace::disable();
     obs::trace::clear();
-}
-
-TEST(ServerLoop, TracedClientFallsBackAgainstPreV14Server) {
-    RawListener legacy;
-    std::thread peer{[&legacy] {
-        const int fd = legacy.accept();
-        ASSERT_GE(fd, 0);
-        // Round 1: the traced request earns the pre-v1.4 rejection.
-        auto frame = protocol::read_frame(fd);
-        ASSERT_TRUE(frame.has_value());
-        ASSERT_NE(frame->find("\ntrace "), std::string::npos);
-        protocol::Response reject;
-        reject.code = protocol::ErrorCode::MalformedRequest;
-        reject.payload = "unknown request field: trace";
-        ASSERT_TRUE(protocol::write_frame(fd, reject.encode()));
-        // Round 2: the same request, header stripped.
-        frame = protocol::read_frame(fd);
-        ASSERT_TRUE(frame.has_value());
-        EXPECT_EQ(frame->find("\ntrace "), std::string::npos);
-        protocol::Response pong;
-        pong.payload = "pong";
-        ASSERT_TRUE(protocol::write_frame(fd, pong.encode()));
-        // A second call must skip the probe: no trace header, no retry.
-        frame = protocol::read_frame(fd);
-        ASSERT_TRUE(frame.has_value());
-        EXPECT_EQ(frame->find("\ntrace "), std::string::npos);
-        ASSERT_TRUE(protocol::write_frame(fd, pong.encode()));
-        ::close(fd);
-    }};
-
-    const auto root = obs::trace::make_root(true);
-    obs::trace::ContextScope scope{root};
-    ServiceClient client{"127.0.0.1", legacy.port};
-    protocol::Request ping;
-    ping.verb = protocol::Verb::Ping;
-    const auto first = client.call(ping);
-    EXPECT_TRUE(first.ok());
-    EXPECT_EQ(first.payload, "pong");
-    const auto second = client.call(ping);
-    EXPECT_TRUE(second.ok());
-    peer.join();
-}
-
-TEST(ServerLoop, TracedPipelineFallsBackAgainstV13Server) {
-    // A v1.3 peer understands batch frames but rejects the trace header
-    // with the batched form of the capability probe. The client must stay
-    // batched, strip the headers, and deliver every response.
-    RawListener legacy;
-    std::thread peer{[&legacy] {
-        const int fd = legacy.accept();
-        ASSERT_GE(fd, 0);
-        auto frame = protocol::read_frame(fd);
-        ASSERT_TRUE(frame.has_value());
-        ASSERT_TRUE(protocol::looks_like_batch(*frame));
-        {
-            const auto batch = protocol::parse_batch(*frame);
-            ASSERT_TRUE(batch.has_value());
-            ASSERT_TRUE((*batch)[0].has_trace());
-        }
-        protocol::Response reject;
-        reject.code = protocol::ErrorCode::MalformedRequest;
-        reject.payload = "batch sub-request 0: unknown request field: trace";
-        ASSERT_TRUE(protocol::write_frame(fd, reject.encode()));
-
-        frame = protocol::read_frame(fd);
-        ASSERT_TRUE(frame.has_value());
-        ASSERT_TRUE(protocol::looks_like_batch(*frame));
-        const auto batch = protocol::parse_batch(*frame);
-        ASSERT_TRUE(batch.has_value());
-        ASSERT_EQ(batch->size(), 3u);
-        for (const auto& sub : *batch) {
-            EXPECT_FALSE(sub.has_trace());
-            protocol::Response resp;
-            resp.payload = "pong";
-            resp.tag = sub.tag;
-            ASSERT_TRUE(protocol::write_frame(fd, resp.encode()));
-        }
-        ::close(fd);
-    }};
-
-    const auto root = obs::trace::make_root(true);
-    obs::trace::ContextScope scope{root};
-    ServiceClient client{"127.0.0.1", legacy.port};
-    std::vector<protocol::Request> window(3);
-    for (auto& req : window) req.verb = protocol::Verb::Ping;
-    const auto responses = client.call_pipelined(window);
-    ASSERT_EQ(responses.size(), 3u);
-    for (const auto& response : responses) {
-        EXPECT_TRUE(response.ok());
-        EXPECT_EQ(response.payload, "pong");
-    }
-    EXPECT_EQ(client.batch_supported(), true);
-    peer.join();
 }
 
 TEST(ServerLoop, TracedPipelineAgainstV14ServerKeepsGoldenBytes) {

@@ -70,9 +70,8 @@ int usage(const char* argv0, int code) {
         "                       0..1 (default: 0.5); the rest get unique seeds\n"
         "  --mix LIST           comma-separated experiments to rotate through\n"
         "                       (default: fig3)\n"
-        "  --pipeline N         send N requests per batch frame (v1.3\n"
-        "                       pipelining; default 1 = one request per\n"
-        "                       round-trip, works against any server)\n"
+        "  --pipeline N         send N requests per batch frame\n"
+        "                       (default 1 = one request per round-trip)\n"
         "\n"
         "tracing:\n"
         "  --trace              originate a sampled trace context for every\n"

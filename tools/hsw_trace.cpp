@@ -3,7 +3,7 @@
 //   hsw_trace --from router=127.0.0.1:7700 --from shard0=127.0.0.1:7788
 //             --from shard1=127.0.0.1:7789 --out merged.json
 //
-// pulls each process's span ring over the protocol's v1.4 `trace_dump`
+// pulls each process's span ring over the protocol's `trace_dump`
 // verb (or reads a Chrome trace-event file written by --trace / a flight
 // dump), merges everything onto one timeline -- one named process track
 // per source, spans correlated across processes by the trace_id each of
@@ -35,7 +35,7 @@ int usage(const char* argv0, int code) {
         out,
         "usage: %s [--from NAME=HOST:PORT ...] [--file NAME=PATH ...] [options]\n"
         "\n"
-        "Collects span traces from running daemons (protocol v1.4\n"
+        "Collects span traces from running daemons (the protocol's\n"
         "`trace_dump` verb) and/or trace files, merges them onto one\n"
         "Perfetto-compatible timeline keyed by trace_id, and prints a\n"
         "critical-path summary of the slowest traces.\n"
