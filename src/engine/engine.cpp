@@ -133,8 +133,11 @@ RunReport run_experiments(const std::vector<Experiment>& experiments,
     // Cache probe happens inside the task, on the worker: entry
     // verification (payload SHA-256) is itself parallelizable work.
     std::vector<Scheduler::Task> tasks;
+    std::vector<double> costs;
     tasks.reserve(flat.size());
+    costs.reserve(flat.size());
     for (std::size_t i = 0; i < flat.size(); ++i) {
+        costs.push_back(flat[i].job->cost);
         tasks.push_back([&, i] {
             const FlatJob& fj = flat[i];
             auto& stats = report.jobs[i];
@@ -193,7 +196,7 @@ RunReport run_experiments(const std::vector<Experiment>& experiments,
              stats.events_per_sec);
     });
 
-    const auto outcomes = scheduler.run(std::move(tasks));
+    const auto outcomes = scheduler.run(std::move(tasks), costs);
 
     // Post-run bookkeeping, all single-threaded and in survey order.
     for (std::size_t i = 0; i < outcomes.size(); ++i) {

@@ -4,7 +4,7 @@
 // point) plus an assemble step that folds the jobs' payload blobs -- in
 // point order, never in completion order -- into named artifacts (CSV
 // files, rendered tables). The engine fans all jobs of all requested
-// experiments across a work-stealing Scheduler, consults the
+// experiments across a longest-first Scheduler, consults the
 // content-addressed ResultCache before computing anything, and reports
 // retries/permanent failures as Invariant::EngineJob diagnostics through
 // the standard DiagnosticSink.
@@ -36,6 +36,11 @@ struct Job {
     /// Computes the job's payload blob (see blob.hpp). Must derive all
     /// randomness from spec.job_seed().
     std::function<std::string(const ExperimentSpec&)> run;
+    /// Scheduling hint: the simulated seconds the body runs, scaled by the
+    /// tuning field that sets its length. The costliest jobs start first;
+    /// 0 means no hint, and such jobs start last. Not part of the spec, so
+    /// it never moves a cache key or a byte.
+    double cost = 0.0;
 };
 
 enum class ArtifactKind { Csv, Render };

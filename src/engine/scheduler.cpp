@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <exception>
+#include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -17,14 +19,9 @@ obs::Counter& tasks_counter() {
         "hsw_engine_tasks", "Scheduler task executions (including retry attempts)");
     return c;
 }
-obs::Counter& steals_counter() {
-    static obs::Counter& c = obs::counter(
-        "hsw_engine_steals", "Tasks taken from another worker's deque");
-    return c;
-}
 obs::Counter& retries_counter() {
     static obs::Counter& c = obs::counter(
-        "hsw_engine_retries", "Failed tasks re-queued for another attempt");
+        "hsw_engine_retries", "Failed tasks run again in place for another attempt");
     return c;
 }
 obs::Counter& failures_counter() {
@@ -36,23 +33,11 @@ obs::Counter& failures_counter() {
 
 struct Scheduler::Batch {
     std::vector<Task> tasks;
+    std::vector<std::size_t> order;      // task indices, costliest first
+    std::atomic<std::size_t> cursor{0};  // next position in `order`
     std::vector<JobOutcome> outcomes;
-    // One deque + lock per worker; owner pops back, thieves pop front.
-    // (A GUARDED_BY tying deques[i] to locks[i] is inexpressible; hsw_lint's
-    // lock-across-io rule and the TSan stress test cover this pairing.)
-    std::vector<std::deque<std::size_t>> deques;
-    std::vector<util::Mutex> locks;
     util::Mutex listener_lock;
-    std::atomic<std::size_t> remaining{0};
-    std::chrono::steady_clock::time_point started;
-
-    Batch(std::vector<Task> t, std::size_t workers)
-        : tasks{std::move(t)},
-          outcomes(tasks.size()),
-          deques(workers),
-          locks(workers),
-          remaining{tasks.size()},
-          started{std::chrono::steady_clock::now()} {}
+    std::chrono::steady_clock::time_point started = std::chrono::steady_clock::now();
 };
 
 Scheduler::Scheduler(SchedulerConfig cfg) : cfg_{cfg} {
@@ -60,107 +45,81 @@ Scheduler::Scheduler(SchedulerConfig cfg) : cfg_{cfg} {
     cfg_.max_attempts = std::max(1u, cfg_.max_attempts);
 }
 
-bool Scheduler::next_task(Batch& batch, std::size_t worker, std::size_t& out_index) {
-    {
-        util::LockGuard lock{batch.locks[worker]};
-        auto& own = batch.deques[worker];
-        if (!own.empty()) {
-            out_index = own.back();
-            own.pop_back();
-            return true;
-        }
+void Scheduler::work(Batch& batch) {
+    // Each draw hands out one position; a draw past the end means no task
+    // is left to start, and a retry never puts one back.
+    for (std::size_t pos = batch.cursor++; pos < batch.order.size(); pos = batch.cursor++) {
+        run_task(batch, batch.order[pos]);
     }
-    for (std::size_t i = 1; i < batch.deques.size(); ++i) {
-        const std::size_t victim = (worker + i) % batch.deques.size();
-        util::LockGuard lock{batch.locks[victim]};
-        auto& other = batch.deques[victim];
-        if (!other.empty()) {
-            out_index = other.front();
-            other.pop_front();
-            steals_counter().inc();
-            return true;
-        }
-    }
-    return false;
 }
 
-void Scheduler::work(Batch& batch, std::size_t worker) {
-    while (batch.remaining.load(std::memory_order_acquire) > 0) {
-        std::size_t index = 0;
-        if (!next_task(batch, worker, index)) {
-            // Nothing to grab, but tasks still in flight elsewhere may yet
-            // fail and re-queue -- stay alive until `remaining` hits zero.
-            std::this_thread::yield();
-            continue;
-        }
-
-        auto& outcome = batch.outcomes[index];
-        outcome.index = index;
+void Scheduler::run_task(Batch& batch, std::size_t index) {
+    auto& outcome = batch.outcomes[index];
+    outcome.index = index;
+    for (;;) {
         ++outcome.attempts;
         progress_.running.fetch_add(1, std::memory_order_relaxed);
         const auto t0 = std::chrono::steady_clock::now();
-        std::string error;
-        bool ok = true;
+        outcome.ok = true;
         try {
             obs::trace::Span span{"engine.task", "engine"};
             batch.tasks[index]();
         } catch (const std::exception& e) {
-            ok = false;
-            error = e.what();
+            outcome.ok = false;
+            outcome.error = e.what();
         } catch (...) {
-            ok = false;
-            error = "unknown exception";
+            outcome.ok = false;
+            outcome.error = "unknown exception";
         }
         const auto t1 = std::chrono::steady_clock::now();
-        outcome.wall_ms +=
-            std::chrono::duration<double, std::milli>(t1 - t0).count();
+        outcome.wall_ms += std::chrono::duration<double, std::milli>(t1 - t0).count();
         progress_.running.fetch_sub(1, std::memory_order_relaxed);
         tasks_counter().inc();
+        if (outcome.ok) break;
 
-        if (!ok) {
-            outcome.error = error;
-            const bool attempts_left = outcome.attempts < cfg_.max_attempts;
-            const bool before_deadline =
-                cfg_.retry_deadline.count() == 0 ||
-                t1 - batch.started < cfg_.retry_deadline;
-            if (attempts_left && before_deadline) {
-                progress_.retries.fetch_add(1, std::memory_order_relaxed);
-                retries_counter().inc();
-                util::LockGuard lock{batch.locks[worker]};
-                batch.deques[worker].push_back(index);
-                continue;  // not finished -- remaining stays up
-            }
+        const bool attempts_left = outcome.attempts < cfg_.max_attempts;
+        const bool before_deadline = cfg_.retry_deadline.count() == 0 ||
+                                     t1 - batch.started < cfg_.retry_deadline;
+        if (!attempts_left || !before_deadline) {
             progress_.failed.fetch_add(1, std::memory_order_relaxed);
             failures_counter().inc();
+            break;
         }
-        outcome.ok = ok;
-
-        if (listener_) {
-            util::LockGuard lock{batch.listener_lock};
-            listener_(outcome);
-        }
-        progress_.done.fetch_add(1, std::memory_order_relaxed);
-        batch.remaining.fetch_sub(1, std::memory_order_release);
+        progress_.retries.fetch_add(1, std::memory_order_relaxed);
+        retries_counter().inc();
     }
+
+    if (listener_) {
+        util::LockGuard lock{batch.listener_lock};
+        listener_(outcome);
+    }
+    progress_.done.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::vector<JobOutcome> Scheduler::run(std::vector<Task> tasks) {
-    const std::size_t workers =
-        std::min<std::size_t>(cfg_.threads, std::max<std::size_t>(1, tasks.size()));
-    Batch batch{std::move(tasks), workers};
+std::vector<JobOutcome> Scheduler::run(std::vector<Task> tasks, std::span<const double> costs) {
+    if (!costs.empty() && costs.size() != tasks.size()) {
+        throw std::invalid_argument{"Scheduler::run: one cost per task, or none"};
+    }
+    Batch batch;
+    batch.tasks = std::move(tasks);
+    batch.outcomes.resize(batch.tasks.size());
+    batch.order.resize(batch.tasks.size());
+    std::iota(batch.order.begin(), batch.order.end(), std::size_t{0});
+    if (!costs.empty()) {
+        std::stable_sort(batch.order.begin(), batch.order.end(),
+                         [costs](std::size_t a, std::size_t b) { return costs[a] > costs[b]; });
+    }
     progress_.queued.store(batch.tasks.size(), std::memory_order_relaxed);
 
-    for (std::size_t i = 0; i < batch.tasks.size(); ++i) {
-        batch.deques[i % workers].push_back(i);
-    }
-
+    const std::size_t workers =
+        std::min<std::size_t>(cfg_.threads, std::max<std::size_t>(1, batch.tasks.size()));
     if (workers == 1) {
-        work(batch, 0);
+        work(batch);
     } else {
         std::vector<std::thread> pool;
         pool.reserve(workers);
         for (std::size_t w = 0; w < workers; ++w) {
-            pool.emplace_back([this, &batch, w] { work(batch, w); });
+            pool.emplace_back([this, &batch] { work(batch); });
         }
         for (auto& t : pool) t.join();
     }

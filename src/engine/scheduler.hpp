@@ -1,14 +1,14 @@
-// Work-stealing thread pool for independent experiment jobs.
+// Longest-first thread pool for independent experiment jobs.
 //
-// run() takes a batch of tasks, distributes them round-robin over
-// per-worker deques, and lets idle workers steal from the front of busy
-// workers' deques (the owner pops from the back, so a steal grabs the
-// oldest -- typically largest-remaining -- job). Tasks must be independent:
-// nothing here orders them, and determinism comes from each task writing to
-// its own pre-allocated result slot, never from completion order.
+// run() sorts the batch by each task's cost hint, highest first (ties and
+// unhinted tasks in index order, unhinted last), and its workers take the
+// next task from one shared cursor. A worker whose cursor draw passes the
+// end returns: nothing is dealt, stolen or waited for, so an idle worker
+// costs no CPU. Tasks must be independent: determinism comes from each task
+// writing to its own pre-allocated result slot, never from run order.
 //
-// A task that throws is retried on the same pool (up to `max_attempts`
-// total attempts, and only while the batch is younger than
+// A task that throws runs again at once on the same worker (up to
+// `max_attempts` total attempts, and only while the batch is younger than
 // `retry_deadline`); a task that keeps throwing is recorded as failed and
 // the rest of the batch continues. Counters in Progress are atomics a
 // monitoring thread may read while run() is in flight.
@@ -17,8 +17,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
-#include <deque>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,7 +54,7 @@ public:
         std::atomic<std::size_t> running{0};
         std::atomic<std::size_t> done{0};
         std::atomic<std::size_t> failed{0};   // permanent failures (subset of done)
-        std::atomic<std::size_t> retries{0};  // re-queues after an exception
+        std::atomic<std::size_t> retries{0};  // attempts after an exception
     };
 
     explicit Scheduler(SchedulerConfig cfg = {});
@@ -62,15 +62,16 @@ public:
     void set_listener(Listener listener) { listener_ = std::move(listener); }
 
     /// Runs the batch to completion; outcomes are indexed like `tasks`.
-    /// Workers live only for the duration of the call.
-    std::vector<JobOutcome> run(std::vector<Task> tasks);
+    /// `costs`, when given, holds one hint per task (0 = no hint): the
+    /// costliest start first. Workers live only for the duration of the call.
+    std::vector<JobOutcome> run(std::vector<Task> tasks, std::span<const double> costs = {});
 
     [[nodiscard]] const Progress& progress() const { return progress_; }
 
 private:
     struct Batch;
-    void work(Batch& batch, std::size_t worker);
-    bool next_task(Batch& batch, std::size_t worker, std::size_t& out_index);
+    void work(Batch& batch);
+    void run_task(Batch& batch, std::size_t index);
 
     SchedulerConfig cfg_;
     Listener listener_;

@@ -63,10 +63,11 @@ std::string render_name(const std::string& csv_name) {
 }
 
 /// Experiment with exactly one job whose blob carries finished "csv" and
-/// "render" sections -- nothing to reconstruct at assembly time.
+/// "render" sections -- nothing to reconstruct at assembly time. `cost` is
+/// the job's scheduling hint (Job::cost).
 Experiment single_job(std::string name, std::string description, ExperimentSpec spec,
                       std::function<BlobSections(const ExperimentSpec&)> compute,
-                      std::string csv_filename, std::string csv_header) {
+                      std::string csv_filename, std::string csv_header, double cost = 0.0) {
     Experiment e;
     e.name = std::move(name);
     e.description = std::move(description);
@@ -75,6 +76,7 @@ Experiment single_job(std::string name, std::string description, ExperimentSpec 
     job.run = [compute = std::move(compute)](const ExperimentSpec& s) {
         return pack_sections(compute(s));
     };
+    job.cost = cost;
     e.jobs.push_back(std::move(job));
     e.assemble = [csv_filename = std::move(csv_filename),
                   csv_header = std::move(csv_header)](const std::vector<std::string>& p) {
@@ -112,7 +114,10 @@ Experiment fig2_experiment(const SurveyTuning& t, const char* name,
             }
             return BlobSections{{"csv", csv}, {"render", r.render()}};
         },
-        csv_filename, "workload,cores_per_socket,threads_per_core,ac_watts,rapl_watts");
+        csv_filename, "workload,cores_per_socket,threads_per_core,ac_watts,rapl_watts",
+        // An idle point, then four concurrency points per workload.
+        static_cast<double>(1 + 4 * workloads::rapl_validation_set().size()) *
+            window.as_seconds());
     e.generations = {generation};
     return e;
 }
@@ -312,6 +317,7 @@ Experiment table5_experiment(const SurveyTuning& t) {
                 spec.set_param("window_s", seconds_str(window));
                 Job job;
                 job.spec = std::move(spec);
+                job.cost = run_time.as_seconds();
                 job.run = [wl = std::string{wl}, turbo, epb, run_time,
                            window](const ExperimentSpec& s) {
                     survey::MaxPowerConfig cfg;
@@ -464,7 +470,8 @@ std::vector<Experiment> survey_experiments(const SurveyTuning& t) {
                 return BlobSections{{"csv", csv}, {"render", r.render()}};
             },
             "table3_uncore.csv",
-            "setting,active_uncore_ghz,passive_uncore_ghz,active_uncore_perf_epb_ghz"));
+            "setting,active_uncore_ghz,passive_uncore_ghz,active_uncore_perf_epb_ghz",
+            30.0 * dwell.as_seconds()));  // 15 settings, two dwells each
     }
 
     {
@@ -494,7 +501,8 @@ std::vector<Experiment> survey_experiments(const SurveyTuning& t) {
             },
             "table4_firestarter.csv",
             "setting,core_ghz_p0,core_ghz_p1,uncore_ghz_p0,uncore_ghz_p1,"
-            "gips_p0,gips_p1,rapl_pkg_w_p0,rapl_pkg_w_p1"));
+            "gips_p0,gips_p1,rapl_pkg_w_p0,rapl_pkg_w_p1",
+            6.0 * samples));  // six settings of `samples` one-second samples
     }
 
     out.push_back(table5_experiment(t));
@@ -533,7 +541,8 @@ std::vector<Experiment> survey_experiments(const SurveyTuning& t) {
                 }
                 return BlobSections{{"csv", csv}, {"render", r.render()}};
             },
-            "skx_hwp_epp.csv", "epp,core_ghz,uncore_ghz,rapl_pkg_watts");
+            "skx_hwp_epp.csv", "epp,core_ghz,uncore_ghz,rapl_pkg_watts",
+            9.0 * (settle + window).as_seconds());  // nine EPP values
         e.generations = {arch::Generation::SkylakeSP};
         out.push_back(std::move(e));
     }
@@ -566,7 +575,8 @@ std::vector<Experiment> survey_experiments(const SurveyTuning& t) {
                 return BlobSections{{"csv", csv}, {"render", r.render()}};
             },
             "skx_avx512_license.csv",
-            "avx512_fraction,license_level,core_ghz,rapl_pkg_watts");
+            "avx512_fraction,license_level,core_ghz,rapl_pkg_watts",
+            5.0 * (settle + window).as_seconds());  // five 512-bit densities
         e.generations = {arch::Generation::SkylakeSP};
         out.push_back(std::move(e));
     }

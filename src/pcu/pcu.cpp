@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "arch/calibration.hpp"
 #include "pcu/hwp.hpp"
@@ -18,6 +20,19 @@ namespace {
 constexpr double kUncoreStepMhz = 50.0;  // ladder granularity (1.75/1.65 GHz)
 
 [[nodiscard]] Frequency step_up(Frequency f) { return Frequency::mhz(f.as_mhz() + kUncoreStepMhz); }
+
+/// Stores `value` in the carry key `slot`; true when it was already there.
+/// Doubles compare by their bits, except that a NaN matches nothing: `==`
+/// rejects NaN, and the sign test keeps -0.0 from matching +0.0.
+template <class T>
+bool keep(T& slot, T value) {
+    bool same = slot == value;
+    if constexpr (std::is_floating_point_v<T>) {
+        same = same && std::signbit(slot) == std::signbit(value);
+    }
+    slot = value;
+    return same;
+}
 
 }  // namespace
 
@@ -85,7 +100,9 @@ Power PcuController::estimate_memoized(const PcuInputs& in, const Ratios& ratios
             continue;
         }
         MemoEntry& e = memo_[i * kMemoRatios + r];
-        if (e.tick != tick_count_) e = MemoEntry{core_term(in.cores[i], i, r), tick_count_};
+        if (e.stamp != core_keys_[i].stamp) {
+            e = MemoEntry{core_term(in.cores[i], i, r), core_keys_[i].stamp};
+        }
         total += e.watts;
     }
     total += power::uncore_power(in.uncore_traffic, uncore_curve_.voltage_for(uncore), uncore);
@@ -154,16 +171,22 @@ void PcuController::fill_die_uncore(const PcuInputs& in, PcuOutputs& out) const 
 // hsw:hot-path -- one opportunity-grid tick; `out` arrives sized (evaluate).
 void PcuController::evaluate_impl(const PcuInputs& in, Time now, PcuOutputs& out) {
     assert(in.cores.size() == sku_->cores);
-    ++tick_count_;  // also invalidates every memoized core term
+    ++tick_count_;
     const std::size_t n = in.cores.size();
 
-    // --- AVX license state machines ---
+    // --- AVX license state machines, then each core's memo key: a changed
+    // key gets a new stamp, which invalidates the core's memoized terms ---
     const bool avx512_capable = policy_->max_license_level() >= 2;
     for (std::size_t i = 0; i < n; ++i) {
         const bool running = in.cores[i].state == cstates::CState::C0;
         licenses_[i].update(running ? in.cores[i].avx_fraction : 0.0,
                             running && avx512_capable ? in.cores[i].avx512_fraction : 0.0,
                             now);
+        CoreKey& k = core_keys_[i];
+        bool same = keep(k.cdyn, in.cores[i].cdyn_utilization);
+        same &= keep(k.state, in.cores[i].state);
+        same &= keep(k.level, licenses_[i].level());
+        if (!same) k.stamp = ++last_stamp_;
     }
 
     unsigned n_active = 0;
@@ -180,11 +203,10 @@ void PcuController::evaluate_impl(const PcuInputs& in, Time now, PcuOutputs& out
 
     out.tdp_limited = false;
 
-    const UncoreRatioLimit msr_limit =
-        decode_uncore_ratio_limit(in.uncore_ratio_limit_raw);
-
     // --- Passive socket / fully idle system ---
     if (n_active == 0) {
+        const UncoreRatioLimit msr_limit =
+            decode_uncore_ratio_limit(in.uncore_ratio_limit_raw);
         UfsInputs ufs{
             .sku = sku_,
             .epb = in.epb,
@@ -231,6 +253,73 @@ void PcuController::evaluate_impl(const PcuInputs& in, Time now, PcuOutputs& out
         last_eet_poll_ = now;
         eet_stall_snapshot_ = max_stall;
     }
+
+    // --- The search, replayed when its inputs match the last tick's ---
+    if (!refresh_search_key(in)) {
+        search_ = search(in, n_active, max_stall, turbo_requested);
+    }
+    const Search& s = search_;
+
+    // --- Dither: the operating point alternates between `lo` and `hi`,
+    // weighted so the *average* power equals the budget. This is what yields
+    // the paper's fractional frequencies (core 2.30-2.35 with uncore ~= core
+    // in Table IV's turbo/2.5/2.4 rows). ---
+    bool take_hi = false;
+    if (s.dither) {
+        double& accum = s.core_dither ? core_dither_accum_ : uncore_dither_accum_;
+        accum += s.alpha;
+        if (accum >= 1.0) {
+            accum -= 1.0;
+            take_hi = true;
+        }
+    }
+    const Ratios& ratios = take_hi ? s.hi : s.lo;
+    const Frequency uncore = take_hi ? s.uncore_hi : s.uncore_lo;
+
+    // --- Assemble grants ---
+    for (std::size_t i = 0; i < n; ++i) {
+        const Frequency f = Frequency::from_ratio(ratios[i]);
+        const unsigned level = licenses_[i].level();
+        out.cores[i] = CoreGrant{
+            f,
+            core_voltage(static_cast<unsigned>(i), f, level),
+            licenses_[i].licensed(),
+            level,
+            licenses_[i].throughput_factor(now),
+        };
+    }
+    out.tdp_limited = s.tdp_limited;
+    out.uncore_frequency = uncore;
+    out.uncore_voltage = uncore_curve_.voltage_for(uncore);
+    out.uncore_clock_halted = false;
+    out.estimated_package_power = estimate_memoized(in, ratios, uncore);
+}
+
+bool PcuController::refresh_search_key(const PcuInputs& in) {
+    SearchKey& k = search_key_;
+    bool same = search_valid_;
+    for (std::size_t i = 0; i < in.cores.size(); ++i) {
+        same &= keep(k.cores[i].stamp, core_keys_[i].stamp);
+        same &= keep(k.cores[i].requested_ratio, in.cores[i].requested_ratio);
+        same &= keep(k.cores[i].stall_fraction, in.cores[i].stall_fraction);
+    }
+    same &= keep(k.epb, in.epb);
+    same &= keep(k.turbo_enabled, in.turbo_enabled);
+    same &= keep(k.uncore_traffic, in.uncore_traffic);
+    same &= keep(k.current_intensity, in.current_intensity);
+    same &= keep(k.fastest_system_core_hz, in.fastest_system_core.as_hz());
+    same &= keep(k.power_limit_watts, in.power_limit_watts);
+    same &= keep(k.uncore_ratio_limit_raw, in.uncore_ratio_limit_raw);
+    same &= keep(k.eet_stall_snapshot, eet_stall_snapshot_);
+    search_valid_ = true;
+    return same;
+}
+
+PcuController::Search PcuController::search(const PcuInputs& in, unsigned n_active,
+                                            double max_stall, bool turbo_requested) {
+    const std::size_t n = in.cores.size();
+    const unsigned nominal_ratio = sku_->nominal_frequency.ratio();
+    const UncoreRatioLimit msr_limit = decode_uncore_ratio_limit(in.uncore_ratio_limit_raw);
 
     // --- Per-core frequency caps ---
     const TurboContext ctx{sku_, n_active, in.turbo_enabled, in.epb};
@@ -315,83 +404,62 @@ void PcuController::evaluate_impl(const PcuInputs& in, Time now, PcuOutputs& out
         throttled = true;
         ufs = ufs_decision(ratios);
     }
-    out.tdp_limited = throttled || over_budget(caps, ufs_decision(caps).floor);
 
-    Frequency uncore = std::min(ufs.floor, sku_->uncore_max);
+    // The weight of `hi` that makes the average power meet the budget.
+    auto weight = [&](double p_lo, double p_hi) {
+        return p_hi > p_lo ? std::clamp((budget.as_watts() - p_lo) / (p_hi - p_lo), 0.0, 1.0)
+                           : 0.0;
+    };
+    Search s;
+    s.tdp_limited = throttled || over_budget(caps, ufs_decision(caps).floor);
+    s.lo = ratios;
+    s.hi = ratios;
+    s.uncore_lo = std::min(ufs.floor, sku_->uncore_max);
 
     if (throttled) {
-        // --- TDP-limited regime: the operating point dithers between
-        // (core lo, uncore = tracking floor) and (core hi, its floor),
-        // weighted so the *average* power equals the budget. This is what
-        // yields the paper's fractional frequencies (core 2.30-2.35 with
-        // uncore ~= core in Table IV's turbo/2.5/2.4 rows). The uncore is
+        // --- TDP-limited regime: dither the cores between `lo` (uncore at
+        // the tracking floor) and one step up (at its floor). The uncore is
         // NOT additionally raised here -- the freed budget goes to the
         // cores first. ---
-        Ratios hi = ratios;
-        bool can_step = false;
+        s.core_dither = true;
         const unsigned fastest = fastest_ratio(ratios);
         for (std::size_t i = 0; i < n; ++i) {
             if (in.cores[i].state != cstates::CState::C0) continue;
-            if (hi[i] == fastest && hi[i] < caps[i]) {
-                ++hi[i];
-                can_step = true;
+            if (s.hi[i] == fastest && s.hi[i] < caps[i]) {
+                ++s.hi[i];
+                s.dither = true;
             }
         }
-        if (can_step) {
-            const UfsDecision ufs_hi = ufs_decision(hi);
-            const double p_lo = estimate_memoized(in, ratios, ufs.floor).as_watts();
-            const double p_hi = estimate_memoized(in, hi, ufs_hi.floor).as_watts();
-            double alpha = 0.0;
-            if (p_hi > p_lo) {
-                alpha = std::clamp((budget.as_watts() - p_lo) / (p_hi - p_lo), 0.0, 1.0);
-            }
-            core_dither_accum_ += alpha;
-            if (core_dither_accum_ >= 1.0) {
-                core_dither_accum_ -= 1.0;
-                ratios = hi;
-                ufs = ufs_hi;
-            }
+        if (s.dither) {
+            const UfsDecision ufs_hi = ufs_decision(s.hi);
+            s.uncore_hi = std::min(ufs_hi.floor, sku_->uncore_max);
+            s.alpha = weight(estimate_memoized(in, ratios, ufs.floor).as_watts(),
+                             estimate_memoized(in, s.hi, ufs_hi.floor).as_watts());
         }
-        uncore = std::min(ufs.floor, sku_->uncore_max);
     } else {
         // --- Headroom regime: the cores hold their requested clocks; the
         // remaining budget is granted to the uncore, from the UFS floor
-        // toward its target, in 50 MHz steps (Table III/IV behaviour). ---
+        // toward its target, in 50 MHz steps (Table III/IV behaviour), then
+        // dithered between the feasible step and the next one. ---
+        Frequency uncore = s.uncore_lo;
         while (step_up(uncore) <= ufs.target && !over_budget(ratios, step_up(uncore))) {
             uncore = step_up(uncore);
         }
-        // Uncore dither between the feasible step and the next one.
+        s.uncore_lo = uncore;
         if (step_up(uncore) <= ufs.target) {
+            s.uncore_hi = step_up(uncore);
             const double p_lo = estimate_memoized(in, ratios, uncore).as_watts();
-            const double p_hi = estimate_memoized(in, ratios, step_up(uncore)).as_watts();
-            if (p_hi > p_lo) {
-                const double alpha =
-                    std::clamp((budget.as_watts() - p_lo) / (p_hi - p_lo), 0.0, 1.0);
-                uncore_dither_accum_ += alpha;
-                if (uncore_dither_accum_ >= 1.0) {
-                    uncore_dither_accum_ -= 1.0;
-                    uncore = step_up(uncore);
-                }
-            }
+            const double p_hi = estimate_memoized(in, ratios, s.uncore_hi).as_watts();
+            s.dither = p_hi > p_lo;
+            s.alpha = weight(p_lo, p_hi);
         }
     }
+    return s;
+}
 
-    // --- Assemble grants ---
-    for (std::size_t i = 0; i < n; ++i) {
-        const Frequency f = Frequency::from_ratio(ratios[i]);
-        const unsigned level = licenses_[i].level();
-        out.cores[i] = CoreGrant{
-            f,
-            core_voltage(static_cast<unsigned>(i), f, level),
-            licenses_[i].licensed(),
-            level,
-            licenses_[i].throughput_factor(now),
-        };
-    }
-    out.uncore_frequency = uncore;
-    out.uncore_voltage = uncore_curve_.voltage_for(uncore);
-    out.uncore_clock_halted = false;
-    out.estimated_package_power = estimate_memoized(in, ratios, uncore);
+void PcuController::clear_carry() {
+    for (auto& k : core_keys_) k.stamp = ++last_stamp_;
+    search_valid_ = false;
 }
 // hsw:end-hot-path
 

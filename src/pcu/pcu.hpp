@@ -125,17 +125,69 @@ public:
     [[nodiscard]] Power effective_budget(double current_intensity) const;
 
 private:
+    friend struct PcuControllerTestPeer;  // clears the carry in shadow tests
+
     using Ratios = std::array<unsigned, kMaxCores>;
     /// Ratios 0..kMemoRatios-1 are memoized (turbo tops out near 40).
     static constexpr unsigned kMemoRatios = 64;
+    /// No core ever holds this stamp, so a fresh entry never reads as valid.
+    static constexpr std::uint64_t kNoStamp = ~std::uint64_t{0};
     struct MemoEntry {
         Power watts;
-        std::uint64_t tick = 0;  // valid while equal to tick_count_
+        std::uint64_t stamp = kNoStamp;  // valid while equal to its core's stamp
+    };
+    /// A core's memo key -- everything core_term reads besides the ratio
+    /// (core_voltage reads only constant curves) -- and the stamp that
+    /// changes whenever the key does.
+    struct CoreKey {
+        double cdyn = 0.0;
+        cstates::CState state = cstates::CState::C6;
+        unsigned level = 0;
+        std::uint64_t stamp = 0;
+    };
+    /// Everything the throttle/uncore search reads. A core's CoreKey
+    /// enters through its stamp, which changes exactly when the key does.
+    struct SearchKey {
+        struct Core {
+            std::uint64_t stamp = kNoStamp;
+            unsigned requested_ratio = 0;
+            double stall_fraction = 0.0;
+        };
+        std::array<Core, kMaxCores> cores{};
+        msr::EpbPolicy epb = msr::EpbPolicy::Balanced;
+        bool turbo_enabled = false;
+        double uncore_traffic = 0.0;
+        double current_intensity = 0.0;
+        double fastest_system_core_hz = 0.0;
+        double power_limit_watts = 0.0;
+        std::uint64_t uncore_ratio_limit_raw = 0;
+        double eet_stall_snapshot = 0.0;
+    };
+    /// The search's result: the two operating points a dither picks from
+    /// (`lo` alone when none applies) and the weight `alpha` of `hi`.
+    struct Search {
+        Ratios lo{};
+        Ratios hi{};
+        Frequency uncore_lo;
+        Frequency uncore_hi;
+        double alpha = 0.0;
+        bool dither = false;
+        bool core_dither = false;  // which accumulator: core or uncore
+        bool tdp_limited = false;
     };
 
     /// The pipeline shared by all generations; `in` already has HWP
     /// requests resolved into requested_ratio when HWP is live.
     void evaluate_impl(const PcuInputs& in, Time now, PcuOutputs& out);
+    /// Stores this tick's SearchKey; true when it equals the stored one,
+    /// so the stored Search still holds.
+    [[nodiscard]] bool refresh_search_key(const PcuInputs& in);
+    /// Caps, floors, budget, the throttle loop and the UFS decisions of an
+    /// active socket: a pure function of the SearchKey.
+    [[nodiscard]] Search search(const PcuInputs& in, unsigned n_active, double max_stall,
+                                bool turbo_requested);
+    /// Forgets every carried term and search result.
+    void clear_carry();
     /// Resolve IA32_HWP_REQUEST windows into per-core requested ratios and
     /// an effective bias tier (the minimum EPP over active cores wins).
     void apply_hwp(PcuInputs& in) const;
@@ -145,10 +197,9 @@ private:
     [[nodiscard]] Voltage core_voltage(unsigned core, Frequency f, unsigned level) const;
     /// One core's power term at `ratio` (the summand of the estimate).
     [[nodiscard]] Power core_term(const CoreInputs& c, std::size_t core, unsigned ratio) const;
-    /// estimate_package_power over memoized core terms. Within one
-    /// evaluation the inputs and license levels are fixed, so a term
-    /// depends only on (core, ratio); the terms are still added in core
-    /// order, so every sum is bit-identical to the reference.
+    /// estimate_package_power over memoized core terms. While a core keeps
+    /// its stamp its term depends only on the ratio; the terms are still
+    /// added in core order, so every sum is bit-identical to the reference.
     [[nodiscard]] Power estimate_memoized(const PcuInputs& in, const Ratios& ratios,
                                           Frequency uncore);
 
@@ -158,7 +209,13 @@ private:
     power::VfCurve core_curve_;
     power::VfCurve uncore_curve_;
     std::vector<AvxLicenseLevels> licenses_;
-    std::vector<MemoEntry> memo_;  // cores x kMemoRatios, keyed by tick
+    // The carry: work reused across ticks while its inputs stay bit-identical.
+    std::vector<MemoEntry> memo_;  // cores x kMemoRatios, keyed by core stamp
+    std::array<CoreKey, kMaxCores> core_keys_{};
+    std::uint64_t last_stamp_ = 0;
+    SearchKey search_key_;
+    Search search_;
+    bool search_valid_ = false;  // no search stored yet, or clear_carry() ran
     PcuInputs hwp_inputs_;         // reused copy with HWP requests resolved
     double core_dither_accum_ = 0.0;
     double uncore_dither_accum_ = 0.0;

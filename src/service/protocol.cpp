@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <charconv>
 #include <cstdio>
 #include <stdexcept>
 #include <system_error>
@@ -12,10 +11,13 @@
 
 #include "engine/sha256.hpp"
 #include "engine/spec.hpp"  // engine::name(AuditMode)
+#include "util/parse.hpp"
 
 namespace hsw::service::protocol {
 
 namespace {
+
+using util::parse_u64;
 
 void set_error(std::string* error, std::string_view reason) {
     if (error) *error = std::string{reason};
@@ -37,24 +39,6 @@ bool next_line(std::string_view& text, std::string_view& key, std::string_view& 
         value = line.substr(space + 1);
     }
     return true;
-}
-
-/// The two integer forms the encoders emit: a decimal without leading
-/// zeros, or "0x" and 1-16 hex digits. Signs, spaces, octal and overflow
-/// are rejected rather than reinterpreted.
-bool parse_u64(std::string_view text, std::uint64_t& out) {
-    int base = 10;
-    if (text.size() > 2 && text.substr(0, 2) == "0x") {
-        text.remove_prefix(2);
-        if (text.size() > 16) return false;
-        base = 16;
-    } else if (text.empty() || text[0] < '0' || text[0] > '9' ||
-               (text[0] == '0' && text.size() > 1)) {
-        return false;
-    }
-    const char* end = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), end, out, base);
-    return ec == std::errc{} && ptr == end;
 }
 
 bool parse_bool(std::string_view text, bool& out) {

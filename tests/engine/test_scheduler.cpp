@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <time.h>
+
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "engine/scheduler.hpp"
 
@@ -35,7 +39,7 @@ TEST(Scheduler, RunsEveryTaskExactlyOnce) {
     EXPECT_EQ(sched.progress().failed.load(), 0u);
 }
 
-TEST(Scheduler, WorkIsActuallyStolenAcrossThreads) {
+TEST(Scheduler, WorkIsSharedAcrossThreads) {
     SchedulerConfig cfg;
     cfg.threads = 4;
     Scheduler sched{cfg};
@@ -54,6 +58,69 @@ TEST(Scheduler, WorkIsActuallyStolenAcrossThreads) {
     // With 64 x 1 ms tasks on 4 workers, more than one thread must have
     // participated (exact count depends on the host scheduler).
     EXPECT_GT(seen.size(), 1u);
+}
+
+TEST(Scheduler, RunsTasksLongestFirst) {
+    // Unhinted (0) tasks start last; ties keep index order.
+    const std::vector<double> costs{2.0, 0.0, 7.0, 2.0, 9.0, 0.0, 7.0, 1.0};
+    {
+        Scheduler sched{SchedulerConfig{}};  // one thread: the run order is the start order
+        std::vector<std::size_t> order;
+        std::vector<Scheduler::Task> tasks;
+        for (std::size_t i = 0; i < costs.size(); ++i) {
+            tasks.push_back([&order, i] { order.push_back(i); });
+        }
+        sched.run(std::move(tasks), costs);
+        EXPECT_EQ(order, (std::vector<std::size_t>{4, 2, 6, 0, 3, 7, 1, 5}));
+    }
+    {
+        SchedulerConfig cfg;
+        cfg.threads = 4;
+        Scheduler sched{cfg};
+        // Every other task waits (bounded) for the costliest to start, so
+        // the start ranks do not depend on which worker the OS runs first.
+        std::atomic<bool> costliest_started{false};
+        std::atomic<int> next_rank{0};
+        std::vector<int> rank(costs.size(), -1);
+        std::vector<Scheduler::Task> tasks;
+        for (std::size_t i = 0; i < costs.size(); ++i) {
+            tasks.push_back([&, i] {
+                if (i == 4) {
+                    rank[i] = next_rank.fetch_add(1);
+                    costliest_started.store(true);
+                    return;
+                }
+                const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+                while (!costliest_started.load() && std::chrono::steady_clock::now() < give_up) {
+                    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                }
+                rank[i] = next_rank.fetch_add(1);
+            });
+        }
+        sched.run(std::move(tasks), costs);
+        EXPECT_EQ(rank[4], 0);
+    }
+}
+
+TEST(Scheduler, IdleWorkersDoNotSpin) {
+    // Three workers run out of tasks at once while the fourth sleeps;
+    // they must leave rather than burn CPU waiting for the batch to end.
+    SchedulerConfig cfg;
+    cfg.threads = 4;
+    Scheduler sched{cfg};
+    std::vector<Scheduler::Task> tasks;
+    tasks.push_back([] { std::this_thread::sleep_for(std::chrono::milliseconds(300)); });
+    for (int i = 0; i < 3; ++i) tasks.push_back([] {});
+
+    auto cpu_seconds = [] {
+        timespec ts{};
+        clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+        return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+    };
+    const double before = cpu_seconds();
+    sched.run(std::move(tasks));
+    const double cpu = cpu_seconds() - before;
+    EXPECT_LT(cpu, 0.050) << "idle workers used " << cpu * 1e3 << " ms of CPU";
 }
 
 TEST(Scheduler, RetriesUntilSuccess) {

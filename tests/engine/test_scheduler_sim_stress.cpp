@@ -1,4 +1,4 @@
-// Drives independent event-engine workloads through the work-stealing
+// Drives independent event-engine workloads through the longest-first
 // Scheduler -- the shape the survey runs in production (one Simulator per
 // job, many jobs per pool). Under TSan this is the data-race check for the
 // slab/heap engine and the thread-local dispatch counter; under the plain

@@ -7,9 +7,17 @@
 #include "util/rng.hpp"
 
 #include <numeric>
+#include <string>
 #include <vector>
 
 namespace hsw::pcu {
+
+/// Test seam: drops the controller's cross-tick carry (memoized core terms
+/// and the stored search), so its next evaluation computes everything.
+struct PcuControllerTestPeer {
+    static void clear_carry(PcuController& pcu) { pcu.clear_carry(); }
+};
+
 namespace {
 
 using util::Frequency;
@@ -214,7 +222,7 @@ PcuInputs random_inputs(util::Rng& rng, const arch::Sku& sku, bool hwp, bool pow
 
 // The budget loop sums memoized per-core terms; its reported estimate must
 // equal the unmemoized reference bit for bit, on every generation's policy
-// and across consecutive ticks (the memo lives for one evaluation only).
+// and across consecutive ticks (the memo carries terms from tick to tick).
 TEST(PcuController, EstimateMatchesEvaluateOutput) {
     struct Case {
         arch::Generation generation;
@@ -239,6 +247,153 @@ TEST(PcuController, EstimateMatchesEvaluateOutput) {
                 const Power re = pcu.estimate_package_power(in, ratios, out.uncore_frequency);
                 ASSERT_EQ(re.as_watts(), out.estimated_package_power.as_watts())
                     << backend.name() << " limit=" << power_limit << " tick " << tick;
+            }
+        }
+    }
+}
+
+/// The first PcuOutputs field where `a` and `b` differ ("" when none),
+/// compared with exact equality.
+std::string first_difference(const PcuOutputs& a, const PcuOutputs& b) {
+    if (a.cores.size() != b.cores.size()) return "cores.size";
+    for (std::size_t i = 0; i < a.cores.size(); ++i) {
+        const CoreGrant& x = a.cores[i];
+        const CoreGrant& y = b.cores[i];
+        const std::string core = "cores[" + std::to_string(i) + "].";
+        if (x.frequency.as_hz() != y.frequency.as_hz()) return core + "frequency";
+        if (x.voltage.as_volts() != y.voltage.as_volts()) return core + "voltage";
+        if (x.avx_licensed != y.avx_licensed) return core + "avx_licensed";
+        if (x.license_level != y.license_level) return core + "license_level";
+        if (x.throughput_factor != y.throughput_factor) return core + "throughput_factor";
+    }
+    if (a.uncore_frequency.as_hz() != b.uncore_frequency.as_hz()) return "uncore_frequency";
+    if (a.uncore_voltage.as_volts() != b.uncore_voltage.as_volts()) return "uncore_voltage";
+    if (a.uncore_clock_halted != b.uncore_clock_halted) return "uncore_clock_halted";
+    if (a.tdp_limited != b.tdp_limited) return "tdp_limited";
+    if (a.estimated_package_power.as_watts() != b.estimated_package_power.as_watts()) {
+        return "estimated_package_power";
+    }
+    if (a.die_uncore_frequency.size() != b.die_uncore_frequency.size()) {
+        return "die_uncore_frequency.size";
+    }
+    for (std::size_t d = 0; d < a.die_uncore_frequency.size(); ++d) {
+        if (a.die_uncore_frequency[d].as_hz() != b.die_uncore_frequency[d].as_hz()) {
+            return "die_uncore_frequency[" + std::to_string(d) + "]";
+        }
+    }
+    return "";
+}
+
+/// Changes exactly one input that a carry key covers, to a different value.
+/// Most fields change on one random core; the AVX densities reach the keys
+/// through the license levels, and the EET snapshot follows the stalls.
+void change_key_field(util::Rng& rng, const arch::Sku& sku, PcuInputs& in, unsigned field) {
+    CoreInputs& c = in.cores[rng.uniform_u64(in.cores.size())];
+    const unsigned lo = sku.min_frequency.ratio();
+    const unsigned hi = sku.nominal_frequency.ratio() + 1;
+    switch (field) {
+        case 0: c.cdyn_utilization = rng.uniform(0.1, 1.1); break;
+        case 1:
+            c.state = c.state == cstates::CState::C0   ? cstates::CState::C1
+                      : c.state == cstates::CState::C1 ? cstates::CState::C6
+                                                       : cstates::CState::C0;
+            break;
+        case 2: c.requested_ratio = c.requested_ratio == hi ? lo : c.requested_ratio + 1; break;
+        case 3: {
+            // Every core at once, across the 0.25 EET watermark, so the EET
+            // stall snapshot also moves on its next poll while inputs hold.
+            const double stall = in.cores[0].stall_fraction < 0.25 ? rng.uniform(0.3, 0.8)
+                                                                   : rng.uniform(0.0, 0.2);
+            for (auto& core : in.cores) core.stall_fraction = stall;
+            break;
+        }
+        case 4: c.avx_fraction = c.avx_fraction > 0.3 ? 0.0 : 0.95; break;
+        case 5: c.avx512_fraction = c.avx512_fraction > 0.2 ? 0.0 : 0.9; break;
+        case 6:
+            c.hwp_request_raw = encode_hwp_request(
+                HwpRequest{.epp = static_cast<unsigned>(rng.uniform_u64(256))});
+            break;
+        case 7:
+            in.epb = in.epb == msr::EpbPolicy::Performance ? msr::EpbPolicy::EnergySaving
+                     : in.epb == msr::EpbPolicy::Balanced  ? msr::EpbPolicy::Performance
+                                                           : msr::EpbPolicy::Balanced;
+            break;
+        case 8: in.turbo_enabled = !in.turbo_enabled; break;
+        case 9: in.uncore_traffic = rng.uniform(); break;
+        case 10:  // into or out of the current guardband above 0.85
+            in.current_intensity =
+                in.current_intensity > 0.85 ? rng.uniform(0.0, 0.85) : rng.uniform(0.86, 1.0);
+            break;
+        case 11:
+            in.fastest_system_core = Frequency::from_ratio(
+                in.fastest_system_core == Frequency::from_ratio(hi) ? lo + 1 : hi);
+            break;
+        case 12:
+            in.power_limit_watts =
+                in.power_limit_watts > 0.0 ? 0.0 : rng.uniform(0.4, 1.0) * sku.tdp.as_watts();
+            break;
+        default: {
+            const unsigned max_ratio = sku.uncore_min.ratio() +
+                static_cast<unsigned>(rng.uniform_u64(
+                    sku.uncore_max.ratio() - sku.uncore_min.ratio() + 1));
+            in.uncore_ratio_limit_raw = max_ratio | std::uint64_t{sku.uncore_min.ratio()} << 8;
+            break;
+        }
+    }
+}
+constexpr unsigned kKeyFields = 14;
+
+// The carry -- core terms memoized across ticks and the replayed search --
+// must be invisible: tick by tick, a controller that keeps it matches a copy
+// whose carry is cleared before every evaluation. Each input holds for 1-16
+// ticks, so the carry hits; then exactly one key field changes, cycling
+// through all of them, so it must miss and refill. A loaded start (every
+// core running a FIRESTARTER-like turbo request) is TDP-bound, so the
+// budget and EET's turbo demotion decide grants there.
+TEST(PcuController, CarriedSearchMatchesAFullSearch) {
+    struct Case {
+        arch::Generation generation;
+        bool hwp;
+    };
+    for (const Case& k : {Case{arch::Generation::HaswellEP, false},
+                          Case{arch::Generation::SandyBridgeEP, false},
+                          Case{arch::Generation::SkylakeSP, true}}) {
+        const auto& backend = platform::backend_for(k.generation);
+        const arch::Sku& sku = backend.survey_sku();
+        for (const bool power_limit : {false, true}) {
+            for (const bool loaded : {false, true}) {
+                PcuController carried{sku, 1, &backend.pcu_policy()};
+                PcuController cleared = carried;
+                util::Rng rng{0xCA77 + static_cast<std::uint64_t>(k.generation) * 4 +
+                              (power_limit ? 2 : 0) + (loaded ? 1 : 0)};
+                PcuInputs in = random_inputs(rng, sku, k.hwp, power_limit);
+                if (loaded) {
+                    for (auto& c : in.cores) {
+                        c.state = cstates::CState::C0;
+                        c.requested_ratio = sku.nominal_frequency.ratio() + 1;
+                        c.avx_fraction = 0.95;
+                        c.stall_fraction = rng.uniform(0.0, 0.2);
+                        c.cdyn_utilization = rng.uniform(0.9, 1.1);
+                    }
+                    in.uncore_traffic = 1.0;
+                }
+                PcuOutputs a;
+                PcuOutputs b;
+                Time t = Time::zero();
+                for (unsigned tick = 0, field = 0; tick < 2000; ++field) {
+                    const auto hold = 1 + rng.uniform_u64(16);
+                    for (std::uint64_t h = 0; h < hold; ++h, ++tick) {
+                        t += Time::us(500);
+                        carried.evaluate(in, t, a);
+                        PcuControllerTestPeer::clear_carry(cleared);
+                        cleared.evaluate(in, t, b);
+                        ASSERT_EQ(first_difference(a, b), "")
+                            << backend.name() << " limit=" << power_limit << " loaded=" << loaded
+                            << " tick " << tick << " after changing key field "
+                            << (field + kKeyFields - 1) % kKeyFields;
+                    }
+                    change_key_field(rng, sku, in, field % kKeyFields);
+                }
             }
         }
     }

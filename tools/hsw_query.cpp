@@ -28,6 +28,7 @@
 #include "obs/trace.hpp"
 #include "service/server.hpp"
 #include "util/hash.hpp"
+#include "util/parse.hpp"
 #include "util/port_file.hpp"
 #include "util/stats.hpp"
 
@@ -265,10 +266,7 @@ int main(int argc, char** argv) {
             out_dir = v;
         } else if (arg == "--seed") {
             const char* v = value();
-            if (!v) return usage(argv[0], 2);
-            char* end = nullptr;
-            request.seed = std::strtoull(v, &end, 0);
-            if (end == v || *end != '\0') return usage(argv[0], 2);
+            if (!v || !util::parse_u64(v, request.seed)) return usage(argv[0], 2);
         } else if (arg == "--audit") {
             const char* v = value();
             if (!v) return usage(argv[0], 2);

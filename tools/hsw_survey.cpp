@@ -19,6 +19,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "platform/registry.hpp"
+#include "util/parse.hpp"
 
 using namespace hsw;
 
@@ -136,10 +137,7 @@ int main(int argc, char** argv) {
             for (auto& name : split_commas(v)) only.push_back(std::move(name));
         } else if (arg == "--seed") {
             const char* v = value();
-            if (!v) return usage(argv[0], 2);
-            char* end = nullptr;
-            tuning.seed = std::strtoull(v, &end, 0);
-            if (end == v || *end != '\0') return usage(argv[0], 2);
+            if (!v || !util::parse_u64(v, tuning.seed)) return usage(argv[0], 2);
         } else if (arg == "--audit") {
             const char* v = value();
             if (!v) return usage(argv[0], 2);
