@@ -75,8 +75,7 @@ void Node::schedule_pcu_grid(unsigned socket_id, Time first) {
         sync();
         Socket& socket = *sockets_[socket_id];
         trace_.record(now, "pcu", socket.name(), "opportunity");
-        if (socket.pcu_tick(now, any_core_active_in_system(), fastest_system_core()) !=
-            nullptr) {
+        if (pcu_tick(socket) != nullptr) {
             // The grant waits in the socket, so the apply event captures
             // only (this, socket_id) and stays in the callback's inline
             // buffer.
@@ -117,6 +116,13 @@ void Node::run_until(Time t) {
     sync();
 }
 
+const pcu::PcuOutputs* Node::pcu_tick(Socket& socket) {
+    // Only a passive socket's uncore rule reads the system's fastest core.
+    const Frequency fastest =
+        socket.any_core_active() ? Frequency::zero() : fastest_system_core();
+    return socket.pcu_tick(sim_.now(), any_core_active_in_system(), fastest);
+}
+
 bool Node::any_core_active_in_system() const {
     return std::any_of(sockets_.begin(), sockets_.end(),
                        [](const auto& s) { return s->any_core_active(); });
@@ -131,7 +137,7 @@ Frequency Node::fastest_system_core() const {
 // --- MSR wiring -----------------------------------------------------------
 
 void Node::install_msrs() {
-    auto core_ref = [this](unsigned cpu) -> SimCore& {
+    auto core_ref = [this](unsigned cpu) -> const SimCore& {
         return sockets_[socket_of(cpu)]->cores()[core_of(cpu)];
     };
 
@@ -157,10 +163,10 @@ void Node::install_msrs() {
         [this, core_ref](unsigned cpu) {
             return static_cast<std::uint64_t>(core_ref(cpu).requested_ratio) << 8;
         },
-        [this, core_ref](unsigned cpu, std::uint64_t value) {
+        [this](unsigned cpu, std::uint64_t value) {
             sync();
             const auto ratio = static_cast<unsigned>((value >> 8) & 0xFF);
-            core_ref(cpu).requested_ratio = ratio;
+            sockets_[socket_of(cpu)]->set_requested_ratio(core_of(cpu), ratio);
             trace_.record(sim_.now(), "pstate", "cpu" + std::to_string(cpu),
                           "request", static_cast<double>(ratio) / 10.0);
             if (!arch::traits(sku_->generation).deferred_pstate_grid) {
@@ -170,10 +176,7 @@ void Node::install_msrs() {
                 sim_.schedule_after(cal::kLegacyPstateSwitchTime, [this, sid] {
                     sync();
                     Socket& socket = *sockets_[sid];
-                    if (const auto* out = socket.pcu_tick(
-                            sim_.now(), any_core_active_in_system(), fastest_system_core())) {
-                        socket.apply_grants(*out);
-                    }
+                    if (const auto* out = pcu_tick(socket)) socket.apply_grants(*out);
                 });
             }
         });
@@ -258,9 +261,9 @@ void Node::install_msrs() {
         msrs_.register_msr(
             msr::IA32_HWP_REQUEST,
             [this, core_ref](unsigned cpu) { return core_ref(cpu).hwp_request_raw; },
-            [this, core_ref](unsigned cpu, std::uint64_t value) {
+            [this](unsigned cpu, std::uint64_t value) {
                 sync();
-                core_ref(cpu).hwp_request_raw = value;
+                sockets_[socket_of(cpu)]->set_hwp_request(core_of(cpu), value);
                 trace_.record(sim_.now(), "hwp", "cpu" + std::to_string(cpu),
                               "request",
                               static_cast<double>(
@@ -282,18 +285,10 @@ void Node::install_msrs() {
 
 void Node::set_workload(unsigned cpu, const workloads::Workload* w, unsigned threads) {
     sync();
-    SimCore& c = sockets_[socket_of(cpu)]->cores()[core_of(cpu)];
-    c.workload = w;
-    c.threads = std::clamp(threads, 1u, 2u);
-    c.state = cstates::CState::C0;
+    sockets_[socket_of(cpu)]->run_workload(core_of(cpu), w, threads);
 }
 
-void Node::clear_workload(unsigned cpu) {
-    sync();
-    SimCore& c = sockets_[socket_of(cpu)]->cores()[core_of(cpu)];
-    c.workload = nullptr;
-    c.state = cfg_.park_state;
-}
+void Node::clear_workload(unsigned cpu) { park(cpu, cfg_.park_state); }
 
 void Node::set_all_workloads(const workloads::Workload* w, unsigned threads) {
     for (unsigned cpu = 0; cpu < cpu_count(); ++cpu) set_workload(cpu, w, threads);
@@ -348,15 +343,13 @@ void Node::set_turbo_enabled(bool on) {
 
 void Node::park(unsigned cpu, cstates::CState state) {
     sync();
-    SimCore& c = sockets_[socket_of(cpu)]->cores()[core_of(cpu)];
-    c.workload = nullptr;
-    c.state = state;
+    sockets_[socket_of(cpu)]->park(core_of(cpu), state);
 }
 
 Time Node::wake(unsigned waker_cpu, unsigned wakee_cpu) {
     sync();
-    Socket& wakee_socket = *sockets_[socket_of(wakee_cpu)];
-    SimCore& wakee = wakee_socket.cores()[core_of(wakee_cpu)];
+    const Socket& wakee_socket = *sockets_[socket_of(wakee_cpu)];
+    const SimCore& wakee = wakee_socket.cores()[core_of(wakee_cpu)];
     if (wakee.state == cstates::CState::C0) return Time::zero();
 
     cstates::WakeScenario scenario;
@@ -381,8 +374,7 @@ Time Node::wake(unsigned waker_cpu, unsigned wakee_cpu) {
 
     sim_.schedule_after(latency, [this, wakee_cpu] {
         sync();
-        SimCore& c = sockets_[socket_of(wakee_cpu)]->cores()[core_of(wakee_cpu)];
-        c.state = cstates::CState::C0;
+        sockets_[socket_of(wakee_cpu)]->wake(core_of(wakee_cpu));
     });
     return latency;
 }

@@ -135,6 +135,8 @@ public:
 private:
     void install_msrs();
     void schedule_pcu_grid(unsigned socket_id, util::Time first);
+    /// One opportunity-grid evaluation of `socket` at now().
+    [[nodiscard]] const pcu::PcuOutputs* pcu_tick(Socket& socket);
     [[nodiscard]] bool any_core_active_in_system() const;
     [[nodiscard]] util::Frequency fastest_system_core() const;
     [[nodiscard]] double read_counter(unsigned cpu, unsigned which) const;

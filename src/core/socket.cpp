@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
+#include <bit>
 #include <span>
 #include <string>
 
@@ -28,7 +28,6 @@ Socket::Socket(const arch::Sku& sku, unsigned socket_id, bool turbo_enabled,
                          .dram_read(mem::ConcurrencyConfig{sku.cores, 2},
                                     sku.nominal_frequency, sku.uncore_max)
                          .as_gb_per_sec()},
-      thermal_{},
       cores_(sku.cores),
       turbo_enabled_{turbo_enabled},
       uncore_freq_{sku.uncore_min},
@@ -88,65 +87,129 @@ void Socket::advance_to(Time now) {
         last_update_ = now;
         return;
     }
+    Rates& r = rates_[live_];
+    if (!r.valid || !rates_current(r)) recompute_rates(r);
     const double seconds = dt.as_seconds();
     const double tsc_ticks = sku_->nominal_frequency.as_hz() * seconds;
+
+    for (std::size_t i = 0; i < cores_.size(); ++i) {
+        SimCore& c = cores_[i];
+        if (c.state == cstates::CState::C3) c.c3_residency += tsc_ticks;
+        if (c.state == cstates::CState::C6) c.c6_residency += tsc_ticks;
+        if (c.state != cstates::CState::C0) continue;
+
+        const CoreRates& cr = r.cores[i];
+        const double cycles = cr.hz * seconds;
+        c.aperf += cycles;
+        c.core_cycles += cycles;
+        c.mperf += tsc_ticks;
+        if (c.workload == nullptr) continue;
+        c.instructions += cr.instructions_per_cycle * cycles;
+        c.stall_cycles += cr.stall_fraction * cycles;
+    }
+    if (!uncore_halted_) uncore_cycles_ += uncore_freq_.as_hz() * seconds;
+    if (r.package_state == cstates::PackageCState::PC3) pkg_c3_residency_ += tsc_ticks;
+    if (r.package_state == cstates::PackageCState::PC6) pkg_c6_residency_ += tsc_ticks;
+
+    // The estimator draws its noise here, once per integration, whether or
+    // not the rates changed.
+    rapl_.integrate(r.package, r.dram, r.activity, dt);
+    last_update_ = now;
+}
+
+bool Socket::rates_current(const Rates& r) const {
+    if (r.system_active != system_active_hint_) return false;
+    // A modulated load's cdyn moves with time; one evaluation per distinct
+    // (workload, threading) pair covers every core that runs it.
+    for (std::size_t k = 0; k < r.modulated_count; ++k) {
+        const ModulatedLoad& m = r.modulated[k];
+        if (std::bit_cast<std::uint64_t>(m.workload->cdyn_at(last_update_, m.ht)) !=
+            std::bit_cast<std::uint64_t>(m.cdyn)) {
+            return false;
+        }
+    }
+    return true;
+}
+
+void Socket::recompute_rates(Rates& r) {
     const bool uncore_running = uncore_freq_ > Frequency::zero();
 
-    // One pass over the cores feeds the counters, the package power (at the
-    // operating point that held since last_update_), the uncore traffic,
-    // the DRAM demand and the RAPL activity vector. Each accumulator still
-    // sums in core order, so every result is bit-identical to evaluating
-    // current_package_power(), current_dram_traffic() and the counters
-    // separately.
+    // One pass over the cores in core order, so every sum is bit-identical
+    // to evaluating current_package_power() and current_dram_traffic().
     Power pkg = power::socket_static_power();
     double traffic = 0.0;
     double dram_demand = 0.0;
     rapl::ActivityVector av;
-    for (SimCore& c : cores_) {
-        if (c.state == cstates::CState::C3) c.c3_residency += tsc_ticks;
-        if (c.state == cstates::CState::C6) c.c6_residency += tsc_ticks;
-        pkg += core_power_at(c, last_update_);
-        if (c.state != cstates::CState::C0) continue;
+    r.modulated_count = 0;
+    for (std::size_t i = 0; i < cores_.size(); ++i) {
+        const SimCore& c = cores_[i];
+        CoreRates& cr = r.cores[i];
+        const double f = c.frequency.as_hz();
+        cr.hz = f;
+        cr.volts = c.voltage.as_volts();
+        cr.throughput_factor = c.throughput_factor;
 
-        const double cycles = c.frequency.as_hz() * seconds;
-        c.aperf += cycles;
-        c.core_cycles += cycles;
-        c.mperf += sku_->nominal_frequency.as_hz() * seconds;
-        if (c.workload == nullptr) continue;
+        const double cdyn = cdyn_at(c, last_update_);
+        pkg += core_power_for(c, cdyn);
+        if (c.state != cstates::CState::C0 || c.workload == nullptr) continue;
 
+        const bool ht = c.threads >= 2;
+        if (c.workload->modulation != workloads::Modulation::Constant) {
+            const std::span seen{r.modulated.data(), r.modulated_count};
+            if (std::none_of(seen.begin(), seen.end(), [&](const ModulatedLoad& m) {
+                    return m.workload == c.workload && m.ht == ht;
+                })) {
+                r.modulated[r.modulated_count++] = {c.workload, ht, cdyn};
+            }
+        }
         const double ratio = uncore_running ? c.frequency / uncore_freq_ : 1.0;
-        const double ipc = c.workload->ipc(ratio, c.threads >= 2);
-        c.instructions += ipc * c.throughput_factor * cycles;
-        c.stall_cycles += c.workload->stall_fraction * cycles;
+        const double ipc = c.workload->ipc(ratio, ht);
+        cr.instructions_per_cycle = ipc * c.throughput_factor;
+        cr.stall_fraction = c.workload->stall_fraction;
 
         traffic += c.workload->uncore_traffic;
         dram_demand += dram_demand_gbs(c);
 
-        const double f = c.frequency.as_hz();
         av.core_cycles_per_s += f;
         av.uops_per_s += ipc * f * 1.12;  // fused-uop expansion estimate
         av.avx_ops_per_s += ipc * f * c.workload->avx_fraction;
     }
-
-    // --- uncore clock counter and power ---
     if (!uncore_halted_) {
-        uncore_cycles_ += uncore_freq_.as_hz() * seconds;
         pkg += uncore_power_for(traffic);
         av.uncore_cycles_per_s = uncore_freq_.as_hz();
     }
-
-    // --- package C-state residency ---
-    const auto pkg_state = package_state(system_active_hint_);
-    if (pkg_state == cstates::PackageCState::PC3) pkg_c3_residency_ += tsc_ticks;
-    if (pkg_state == cstates::PackageCState::PC6) pkg_c6_residency_ += tsc_ticks;
-
-    // --- energy ---
     const Bandwidth dram_traffic = dram_traffic_for(dram_demand);
     av.dram_gbs = dram_traffic.as_gb_per_sec();
-    rapl_.integrate(pkg, power::dram_power(dram_traffic), av, dt);
-    thermal_.advance(pkg, dt);
 
-    last_update_ = now;
+    r.uncore_hz = uncore_freq_.as_hz();
+    r.uncore_volts = uncore_voltage_.as_volts();
+    r.uncore_halted = uncore_halted_;
+    r.package = pkg;
+    r.dram = power::dram_power(dram_traffic);
+    r.activity = av;
+    r.package_state = package_state(system_active_hint_);
+    r.system_active = system_active_hint_;
+    r.valid = reuse_rates_;
+}
+
+bool Socket::at_current_grants(const Rates& r) const {
+    // Bit compares: a grant equal in value but not in bits (-0.0) re-derives.
+    auto same = [](double a, double b) {
+        return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+    };
+    if (!same(r.uncore_hz, uncore_freq_.as_hz()) ||
+        !same(r.uncore_volts, uncore_voltage_.as_volts()) || r.uncore_halted != uncore_halted_) {
+        return false;
+    }
+    for (std::size_t i = 0; i < cores_.size(); ++i) {
+        const SimCore& c = cores_[i];
+        const CoreRates& cr = r.cores[i];
+        if (!same(cr.hz, c.frequency.as_hz()) || !same(cr.volts, c.voltage.as_volts()) ||
+            !same(cr.throughput_factor, c.throughput_factor)) {
+            return false;
+        }
+    }
+    return true;
 }
 // hsw:end-hot-path
 
@@ -177,6 +240,31 @@ void Socket::apply_grants(const pcu::PcuOutputs& out) {
     uncore_voltage_ = out.uncore_voltage;
     uncore_halted_ = out.uncore_clock_halted;
     die_uncore_ = out.die_uncore_frequency;
+
+    // The rates in use become the spare; the old spare serves if a dither
+    // has come back to its point.
+    live_ ^= 1;
+    Rates& r = rates_[live_];
+    r.valid = r.valid && at_current_grants(r);
+}
+
+void Socket::run_workload(unsigned core, const workloads::Workload* w, unsigned threads) {
+    invalidate_rates();
+    SimCore& c = cores_[core];
+    c.workload = w;
+    c.threads = std::clamp(threads, 1u, 2u);
+    c.state = cstates::CState::C0;
+}
+
+void Socket::park(unsigned core, cstates::CState state) {
+    invalidate_rates();
+    cores_[core].workload = nullptr;
+    cores_[core].state = state;
+}
+
+void Socket::wake(unsigned core) {
+    invalidate_rates();
+    cores_[core].state = cstates::CState::C0;
 }
 
 cstates::PackageCState Socket::package_state(bool any_core_active_in_system) const {
@@ -200,20 +288,16 @@ bool Socket::any_core_active() const {
     });
 }
 
-unsigned Socket::active_core_count() const {
-    return static_cast<unsigned>(
-        std::count_if(cores_.begin(), cores_.end(), [](const SimCore& c) {
-            return c.state == cstates::CState::C0;
-        }));
+double Socket::cdyn_at(const SimCore& c, Time t) const {
+    return (c.state == cstates::CState::C0 && c.workload != nullptr)
+               ? c.workload->cdyn_at(t, c.threads >= 2)
+               : 0.0;
 }
 
-Power Socket::core_power_at(const SimCore& c, Time t) const {
-    const bool running = c.state == cstates::CState::C0;
+Power Socket::core_power_for(const SimCore& c, double cdyn) const {
     const power::CoreActivity activity{
-        .cdyn_utilization = (running && c.workload != nullptr)
-                                ? c.workload->cdyn_at(t, c.threads >= 2)
-                                : 0.0,
-        .clock_running = running,
+        .cdyn_utilization = cdyn,
+        .clock_running = c.state == cstates::CState::C0,
         .power_gated = cstates::power_gated(c.state),
     };
     return power::core_power(activity, c.voltage, c.frequency);
@@ -234,7 +318,7 @@ Power Socket::current_package_power(Time now) const {
     Power total = power::socket_static_power();
     double traffic = 0.0;
     for (const SimCore& c : cores_) {
-        total += core_power_at(c, now);
+        total += core_power_for(c, cdyn_at(c, now));
         if (c.state == cstates::CState::C0 && c.workload != nullptr) {
             traffic += c.workload->uncore_traffic;
         }

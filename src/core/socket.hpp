@@ -1,4 +1,4 @@
-// One simulated processor package: cores, uncore, PCU, RAPL, thermal.
+// One simulated processor package: cores, uncore, PCU, RAPL.
 //
 // Between events all state is constant, so the socket integrates counters
 // and energy in closed form in advance_to(). The PCU evaluates on the
@@ -7,6 +7,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -18,7 +19,6 @@
 #include "cstates/cstate.hpp"
 #include "mem/bandwidth_model.hpp"
 #include "pcu/pcu.hpp"
-#include "power/thermal.hpp"
 #include "rapl/model.hpp"
 #include "rapl/rapl.hpp"
 #include "util/rng.hpp"
@@ -93,12 +93,27 @@ public:
     /// Apply the pending grant (called at tick + switching time).
     void apply_staged_grants() { apply_grants(staged_); }
 
+    // --- core control: every write to a core goes through these ---
+    /// Run `w` on `core` with `threads` (1 or 2) hardware threads, in C0.
+    void run_workload(unsigned core, const workloads::Workload* w, unsigned threads);
+    /// Put `core` in `state` with no workload.
+    void park(unsigned core, cstates::CState state);
+    /// `core` reaches C0 at the end of a wake-up, keeping its workload.
+    void wake(unsigned core);
+    /// IA32_PERF_CTL / IA32_HWP_REQUEST targets: PCU inputs only, so the
+    /// integration rates stay valid.
+    void set_requested_ratio(unsigned core, unsigned ratio) {
+        cores_[core].requested_ratio = ratio;
+    }
+    void set_hwp_request(unsigned core, std::uint64_t raw) {
+        cores_[core].hwp_request_raw = raw;
+    }
+
     // --- state access ---
     [[nodiscard]] unsigned id() const { return id_; }
     /// "socket<id>", the subject of this socket's trace records.
     [[nodiscard]] std::string_view name() const { return name_; }
     [[nodiscard]] const arch::Sku& sku() const { return *sku_; }
-    [[nodiscard]] std::vector<SimCore>& cores() { return cores_; }
     [[nodiscard]] const std::vector<SimCore>& cores() const { return cores_; }
     [[nodiscard]] Frequency uncore_frequency() const { return uncore_freq_; }
     [[nodiscard]] bool uncore_halted() const { return uncore_halted_; }
@@ -115,7 +130,6 @@ public:
     [[nodiscard]] pcu::PcuController& pcu() { return pcu_; }
     [[nodiscard]] const mem::BandwidthModel& bandwidth_model() const { return bw_model_; }
     [[nodiscard]] const arch::DieTopology& topology() const { return topo_; }
-    [[nodiscard]] const power::ThermalModel& thermal() const { return thermal_; }
 
     void set_epb(msr::EpbPolicy p) { epb_ = p; }
     [[nodiscard]] msr::EpbPolicy epb() const { return epb_; }
@@ -140,7 +154,6 @@ public:
     /// Highest granted clock among C0 cores (zero if none).
     [[nodiscard]] Frequency fastest_active_core() const;
     [[nodiscard]] bool any_core_active() const;
-    [[nodiscard]] unsigned active_core_count() const;
 
     /// Instantaneous package / DRAM power at the current operating point.
     [[nodiscard]] Power current_package_power(Time now) const;
@@ -155,12 +168,60 @@ public:
     [[nodiscard]] Bandwidth achieved_dram_bandwidth() const;
 
 private:
+    friend struct SocketTestPeer;  // turns off rate reuse in shadow tests
+
+    static constexpr std::size_t kMaxCores = pcu::PcuController::kMaxCores;
+    /// One modulated (workload, threading) pair that runs on some core, and
+    /// its cdyn when the rates were derived.
+    struct ModulatedLoad {
+        const workloads::Workload* workload = nullptr;
+        bool ht = false;
+        double cdyn = 0.0;
+    };
+    struct CoreRates {
+        // The core's grant when the rates were derived (voltage with its
+        // silicon variation applied).
+        double hz = 0.0;
+        double volts = 0.0;
+        double throughput_factor = 0.0;
+        // Per loaded C0 core: ipc x throughput_factor and the stall fraction.
+        double instructions_per_cycle = 0.0;
+        double stall_fraction = 0.0;
+    };
+    /// What advance_to() integrates per second at one operating point:
+    /// the grants it was derived at, then the rates.
+    struct Rates {
+        std::array<CoreRates, kMaxCores> cores{};
+        double uncore_hz = 0.0;
+        double uncore_volts = 0.0;
+        bool uncore_halted = false;
+        Power package;
+        Power dram;
+        rapl::ActivityVector activity;
+        cstates::PackageCState package_state = cstates::PackageCState::PC0;
+        bool system_active = false;  // the hint package_state resolved under
+        std::array<ModulatedLoad, kMaxCores> modulated{};
+        std::size_t modulated_count = 0;
+        bool valid = false;
+    };
+
+    /// Derive `r` for the interval starting at last_update_, with the same
+    /// operations in the same core order as every earlier integration.
+    void recompute_rates(Rates& r);
+    /// Whether valid `r` still holds for an interval starting at
+    /// last_update_: the hint and every modulated cdyn are unchanged.
+    [[nodiscard]] bool rates_current(const Rates& r) const;
+    /// Whether `r` was derived at the current grants.
+    [[nodiscard]] bool at_current_grants(const Rates& r) const;
+    /// A core's state, workload or threading changed: no rates hold.
+    void invalidate_rates() { rates_[0].valid = rates_[1].valid = false; }
     /// Refill pcu_in_ from the current state (modulation evaluated at `now`).
     void fill_pcu_inputs(Time now, bool system_active, Frequency fastest_system_core);
     [[nodiscard]] mem::ConcurrencyConfig concurrency() const;
-    // The per-core pieces shared by advance_to() and the current_*()
+    // The per-core pieces shared by recompute_rates() and the current_*()
     // readers, so both produce bit-identical sums.
-    [[nodiscard]] Power core_power_at(const SimCore& c, Time t) const;
+    [[nodiscard]] double cdyn_at(const SimCore& c, Time t) const;
+    [[nodiscard]] Power core_power_for(const SimCore& c, double cdyn) const;
     /// Uncore power for the running cores' summed uncore traffic.
     [[nodiscard]] Power uncore_power_for(double traffic_sum) const;
     /// DRAM demand of one loaded C0 core (GB/s).
@@ -178,7 +239,6 @@ private:
     rapl::RaplPackage rapl_;
     mem::BandwidthModel bw_model_;
     double dram_peak_gbs_;  // all cores, two threads, nominal clock, max uncore
-    power::ThermalModel thermal_;
     std::vector<SimCore> cores_;
     msr::EpbPolicy epb_ = msr::EpbPolicy::Balanced;
     bool turbo_enabled_ = true;
@@ -195,6 +255,13 @@ private:
     double pkg_c6_residency_ = 0.0;
     bool system_active_hint_ = false;
     Time last_update_;
+
+    // Two rate sets, for the two operating points a dither alternates
+    // between: rates_[live_] is in use, the other is the point last left.
+    // apply_grants() swaps them, and invalidate_rates() drops both.
+    std::array<Rates, 2> rates_{};
+    unsigned live_ = 0;
+    bool reuse_rates_ = true;  // false: every advance_to() re-derives
 
     // Reused PCU buffers: a steady-state tick allocates nothing.
     pcu::PcuInputs pcu_in_;

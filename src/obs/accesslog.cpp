@@ -62,13 +62,15 @@ std::uint64_t now_ns() {
 }
 
 /// Validated seqlock read of one slot; false = torn or not yet stable.
+/// Acquire loads of the record words keep the second sequence load after
+/// them (a fence would do the same, but TSan does not model fences). Only
+/// the drain thread reads, so the stronger loads cost nothing that matters.
 bool read_slot(const Slot& s, std::uint64_t ticket, Record& out) {
     if (s.seq.load(std::memory_order_acquire) != ticket + 1) return false;
     std::uint64_t words[kRecordWords];
     for (std::size_t w = 0; w < kRecordWords; ++w) {
-        words[w] = s.words[w].load(std::memory_order_relaxed);
+        words[w] = s.words[w].load(std::memory_order_acquire);
     }
-    std::atomic_thread_fence(std::memory_order_acquire);
     if (s.seq.load(std::memory_order_relaxed) != ticket + 1) return false;
     std::memcpy(&out, words, sizeof(Record));
     return true;

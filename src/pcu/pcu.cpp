@@ -257,6 +257,7 @@ void PcuController::evaluate_impl(const PcuInputs& in, Time now, PcuOutputs& out
     // --- The search, replayed when its inputs match the last tick's ---
     if (!refresh_search_key(in)) {
         search_ = search(in, n_active, max_stall, turbo_requested);
+        ++search_count_;
     }
     const Search& s = search_;
 
@@ -292,7 +293,7 @@ void PcuController::evaluate_impl(const PcuInputs& in, Time now, PcuOutputs& out
     out.uncore_frequency = uncore;
     out.uncore_voltage = uncore_curve_.voltage_for(uncore);
     out.uncore_clock_halted = false;
-    out.estimated_package_power = estimate_memoized(in, ratios, uncore);
+    out.estimated_package_power = take_hi ? s.power_hi : s.power_lo;
 }
 
 bool PcuController::refresh_search_key(const PcuInputs& in) {
@@ -307,7 +308,6 @@ bool PcuController::refresh_search_key(const PcuInputs& in) {
     same &= keep(k.turbo_enabled, in.turbo_enabled);
     same &= keep(k.uncore_traffic, in.uncore_traffic);
     same &= keep(k.current_intensity, in.current_intensity);
-    same &= keep(k.fastest_system_core_hz, in.fastest_system_core.as_hz());
     same &= keep(k.power_limit_watts, in.power_limit_watts);
     same &= keep(k.uncore_ratio_limit_raw, in.uncore_ratio_limit_raw);
     same &= keep(k.eet_stall_snapshot, eet_stall_snapshot_);
@@ -370,7 +370,8 @@ PcuController::Search PcuController::search(const PcuInputs& in, unsigned n_acti
             .sku = sku_,
             .epb = in.epb,
             .fastest_local_core = Frequency::from_ratio(fastest_ratio(ratios)),
-            .fastest_system_core = in.fastest_system_core,
+            // Only the passive-socket rule reads it, so it is no search input.
+            .fastest_system_core = Frequency::zero(),
             .stall_fraction = max_stall,
             .socket_active = true,
             .system_active = true,
@@ -454,6 +455,8 @@ PcuController::Search PcuController::search(const PcuInputs& in, unsigned n_acti
             s.alpha = weight(p_lo, p_hi);
         }
     }
+    s.power_lo = estimate_memoized(in, s.lo, s.uncore_lo);
+    s.power_hi = s.dither ? estimate_memoized(in, s.hi, s.uncore_hi) : s.power_lo;
     return s;
 }
 

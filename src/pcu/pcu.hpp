@@ -56,7 +56,9 @@ struct PcuInputs {
     double uncore_traffic = 0.0;       // [0,1]
     double current_intensity = 0.0;    // worst over running workloads
     bool system_active = true;         // any C0 core anywhere (both sockets)
-    Frequency fastest_system_core;     // for the passive-socket uncore rule
+    /// Fastest C0 core in the system; read only by the passive-socket
+    /// uncore rule, so an active socket may leave it zero.
+    Frequency fastest_system_core;
     /// Software package power cap from MSR_PKG_POWER_LIMIT (0 = use TDP).
     double power_limit_watts = 0.0;
     /// Raw MSR_UNCORE_RATIO_LIMIT value (0 = unconstrained).
@@ -125,7 +127,7 @@ public:
     [[nodiscard]] Power effective_budget(double current_intensity) const;
 
 private:
-    friend struct PcuControllerTestPeer;  // clears the carry in shadow tests
+    friend struct PcuControllerTestPeer;  // clears the carry, counts searches
 
     using Ratios = std::array<unsigned, kMaxCores>;
     /// Ratios 0..kMemoRatios-1 are memoized (turbo tops out near 40).
@@ -147,6 +149,8 @@ private:
     };
     /// Everything the throttle/uncore search reads. A core's CoreKey
     /// enters through its stamp, which changes exactly when the key does.
+    /// The system's fastest core is no part of it: only the passive-socket
+    /// rule reads that, and a passive socket never searches.
     struct SearchKey {
         struct Core {
             std::uint64_t stamp = kNoStamp;
@@ -158,7 +162,6 @@ private:
         bool turbo_enabled = false;
         double uncore_traffic = 0.0;
         double current_intensity = 0.0;
-        double fastest_system_core_hz = 0.0;
         double power_limit_watts = 0.0;
         std::uint64_t uncore_ratio_limit_raw = 0;
         double eet_stall_snapshot = 0.0;
@@ -174,6 +177,9 @@ private:
         bool dither = false;
         bool core_dither = false;  // which accumulator: core or uncore
         bool tdp_limited = false;
+        // Estimated package power at lo and at hi (the tick's estimate).
+        Power power_lo;
+        Power power_hi;
     };
 
     /// The pipeline shared by all generations; `in` already has HWP
@@ -216,6 +222,7 @@ private:
     SearchKey search_key_;
     Search search_;
     bool search_valid_ = false;  // no search stored yet, or clear_carry() ran
+    std::uint64_t search_count_ = 0;  // evaluations that ran search()
     PcuInputs hwp_inputs_;         // reused copy with HWP requests resolved
     double core_dither_accum_ = 0.0;
     double uncore_dither_accum_ = 0.0;

@@ -30,7 +30,9 @@ struct UfsInputs {
     /// Highest granted core clock among active cores on *this* socket
     /// (zero when the socket is passive).
     Frequency fastest_local_core;
-    /// Highest granted core clock among active cores in the whole system.
+    /// Highest granted core clock among active cores in the whole system:
+    /// the input of the passive-socket rule. No policy reads it while
+    /// `socket_active`, and the PCU's active search leaves it zero.
     Frequency fastest_system_core;
     /// Maximum off-core stall fraction over this socket's active cores.
     double stall_fraction = 0.0;

@@ -62,6 +62,9 @@ public:
     /// True accumulated energies (ground truth, for validation harnesses).
     [[nodiscard]] Energy true_pkg_energy() const { return true_pkg_; }
     [[nodiscard]] Energy true_dram_energy() const { return true_dram_; }
+    /// The estimator's accumulated energies, before counter quantization.
+    [[nodiscard]] Energy reported_pkg_energy() const { return reported_pkg_; }
+    [[nodiscard]] Energy reported_dram_energy() const { return reported_dram_; }
 
     [[nodiscard]] bool has_domain(Domain d) const;
     [[nodiscard]] DramMode dram_mode() const { return dram_mode_; }

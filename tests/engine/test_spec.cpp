@@ -105,9 +105,12 @@ TEST(ExperimentSpec, ParamLookup) {
 }
 
 TEST(Blob, RoundTripsArbitraryBytes) {
+    using namespace std::string_literals;
+    // A NUL, a line that looks like a section header, and a 0xFF byte; the
+    // ""s literal keeps all 15 bytes, the NUL included.
     const BlobSections sections{
         {"csv", "a,b\n1,2\n"},
-        {"binary", std::string{"\x00\x01section x 3\n\xff", 17}},
+        {"binary", "\x00\x01section x 3\n\xff"s},
         {"empty", ""},
     };
     const std::string packed = pack_sections(sections);

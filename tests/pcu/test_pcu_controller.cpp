@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include "arch/sku.hpp"
+#include "core/node.hpp"
 #include "pcu/hwp.hpp"
 #include "pcu/pcu.hpp"
 #include "platform/registry.hpp"
 #include "util/rng.hpp"
+#include "workloads/mixes.hpp"
 
+#include <cstdint>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -13,9 +16,12 @@
 namespace hsw::pcu {
 
 /// Test seam: drops the controller's cross-tick carry (memoized core terms
-/// and the stored search), so its next evaluation computes everything.
+/// and the stored search), so its next evaluation computes everything; and
+/// reads how many evaluations ran, and how many of them searched.
 struct PcuControllerTestPeer {
     static void clear_carry(PcuController& pcu) { pcu.clear_carry(); }
+    static std::uint64_t ticks(const PcuController& pcu) { return pcu.tick_count_; }
+    static std::uint64_t searches(const PcuController& pcu) { return pcu.search_count_; }
 };
 
 namespace {
@@ -284,8 +290,10 @@ std::string first_difference(const PcuOutputs& a, const PcuOutputs& b) {
     return "";
 }
 
-/// Changes exactly one input that a carry key covers, to a different value.
-/// Most fields change on one random core; the AVX densities reach the keys
+/// Changes exactly one input to a different value: a field a carry key
+/// covers, or (field 11) the system's fastest core, which only the
+/// passive-socket rule reads, so an active socket replays across it. Most
+/// fields change on one random core; the AVX densities reach the keys
 /// through the license levels, and the EET snapshot follows the stalls.
 void change_key_field(util::Rng& rng, const arch::Sku& sku, PcuInputs& in, unsigned field) {
     CoreInputs& c = in.cores[rng.uniform_u64(in.cores.size())];
@@ -346,8 +354,9 @@ constexpr unsigned kKeyFields = 14;
 // The carry -- core terms memoized across ticks and the replayed search --
 // must be invisible: tick by tick, a controller that keeps it matches a copy
 // whose carry is cleared before every evaluation. Each input holds for 1-16
-// ticks, so the carry hits; then exactly one key field changes, cycling
-// through all of them, so it must miss and refill. A loaded start (every
+// ticks, so the carry hits; then exactly one input changes, cycling through
+// every key field, which must miss and refill, and the fastest system core,
+// which an active socket must replay across. A loaded start (every
 // core running a FIRESTARTER-like turbo request) is TDP-bound, so the
 // budget and EET's turbo demotion decide grants there.
 TEST(PcuController, CarriedSearchMatchesAFullSearch) {
@@ -397,6 +406,36 @@ TEST(PcuController, CarriedSearchMatchesAFullSearch) {
             }
         }
     }
+}
+
+// On a steady TDP-bound Table V cell (FIRESTARTER, turbo request, EPB
+// performance, one thread per core) only the dither moves from tick to
+// tick, and it moves no search input, so nearly every tick replays the
+// stored search. A key that held the system's fastest core would miss
+// whenever either socket's dither flipped.
+TEST(PcuController, SearchReplaysOnSteadyTicks) {
+    core::Node node;
+    node.set_epb(msr::EpbPolicy::Performance);
+    node.set_all_workloads(&workloads::firestarter(), 1);
+    node.request_turbo_all();
+    node.run_for(Time::ms(100));  // settle, as the Table V cell does
+
+    std::uint64_t ticks = 0;
+    std::uint64_t searches = 0;
+    for (unsigned s = 0; s < node.socket_count(); ++s) {
+        ticks -= PcuControllerTestPeer::ticks(node.socket(s).pcu());
+        searches -= PcuControllerTestPeer::searches(node.socket(s).pcu());
+    }
+    node.run_for(Time::sec(2));
+    for (unsigned s = 0; s < node.socket_count(); ++s) {
+        ticks += PcuControllerTestPeer::ticks(node.socket(s).pcu());
+        searches += PcuControllerTestPeer::searches(node.socket(s).pcu());
+        // No core ever leaves C0, so every tick was an active one.
+        EXPECT_TRUE(node.socket(s).any_core_active());
+    }
+    ASSERT_GT(ticks, 7000u);  // two sockets x 2 s on the 500 us grid
+    EXPECT_LT(static_cast<double>(searches), 0.01 * static_cast<double>(ticks))
+        << searches << " searches in " << ticks << " active ticks";
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "arch/sku.hpp"
+#include "pcu/policy.hpp"
 #include "pcu/uncore_scaling.hpp"
+#include "platform/registry.hpp"
 
 #include <cstdint>
 
@@ -142,6 +144,59 @@ TEST(UfsPolicy, WestmereUncoreFixed) {
     in.fastest_local_core = Frequency::ghz(1.6);
     const auto d = uncore_policy(in);
     EXPECT_NEAR(d.target.as_ghz(), 2.66, 1e-2);
+}
+
+// The PCU's active search leaves fastest_system_core out of its inputs and
+// its replay key. That is sound only if no policy reads the field while the
+// socket is active, which this sweep checks for every backend's policy.
+TEST(UncorePolicy, ActiveDecisionIgnoresFastestSystemCore) {
+    for (const platform::PlatformBackend* backend : platform::all_backends()) {
+        const PcuPolicy& policy = backend->pcu_policy();
+        const arch::Sku& sku = backend->survey_sku();
+        const unsigned lo = sku.min_frequency.ratio();
+        const unsigned hi = sku.max_turbo(1).ratio();
+        const unsigned unc_lo = sku.uncore_min.ratio();
+        const unsigned unc_hi = sku.uncore_max.ratio();
+        struct Limit {
+            unsigned max_ratio;
+            unsigned min_ratio;
+        };
+        const Limit limits[] = {
+            {0, 0}, {unc_hi - 2, 0}, {0, unc_lo + 3}, {unc_lo + 4, unc_lo + 2}};
+        for (const auto epb : {msr::EpbPolicy::Performance, msr::EpbPolicy::Balanced,
+                               msr::EpbPolicy::EnergySaving}) {
+            for (const double stall : {0.0, 0.05, 0.1, 0.2, 0.4, 0.6, 0.9}) {
+                for (const bool turbo : {false, true}) {
+                    for (unsigned local = lo; local <= hi; ++local) {
+                        for (const Limit limit : limits) {
+                            UfsInputs in;
+                            in.sku = &sku;
+                            in.epb = epb;
+                            in.fastest_local_core = Frequency::from_ratio(local);
+                            in.stall_fraction = stall;
+                            in.socket_active = true;
+                            in.system_active = true;
+                            in.turbo_requested = turbo;
+                            in.msr_max_ratio = limit.max_ratio;
+                            in.msr_min_ratio = limit.min_ratio;
+                            const UfsDecision reference = policy.uncore(in);
+                            for (const unsigned system : {0u, lo, local, hi}) {
+                                in.fastest_system_core = Frequency::from_ratio(system);
+                                const UfsDecision d = policy.uncore(in);
+                                ASSERT_EQ(d.target.as_hz(), reference.target.as_hz())
+                                    << backend->name() << " local ratio " << local
+                                    << " system ratio " << system;
+                                ASSERT_EQ(d.floor.as_hz(), reference.floor.as_hz())
+                                    << backend->name() << " local ratio " << local
+                                    << " system ratio " << system;
+                                ASSERT_EQ(d.clock_halted, reference.clock_halted);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 }  // namespace
