@@ -16,15 +16,14 @@
 //
 // Per-scenario output: events/sec plus p50/p99 of per-event dispatch time
 // sampled over fixed-size chunks. Results go to stderr (human) and, with
-// --json <path>, to a BenchJson file (machine). CI tracks the committed
-// BENCH_simcore.json and fails on >25 % events/sec regression of the
-// periodic-heavy sweep.
+// --json <path>, to a BenchJson file (machine).
 //
 //   bench_simcore [--quick] [--telemetry] [--json <path>]
 //
 // --telemetry turns the obs metrics registry and span tracing on for the
-// whole run, measuring the instrumented-but-enabled configuration; CI runs
-// the periodic-heavy gate both ways to keep the telemetry tax honest.
+// whole run, measuring the instrumented-but-enabled configuration. CI runs
+// --quick five times each way, alternating, and fails when the median
+// telemetry/plain periodic-heavy events/sec ratio falls below 0.75.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -244,9 +243,8 @@ int main(int argc, char** argv) {
         bench_pending_density(json, pending, quick ? 12 : 48);
     }
     // periodic_heavy keeps its full shape even under --quick: it is the
-    // CI-gated scenario, and the committed BENCH_simcore.json baseline is
-    // full-mode, so the comparison must be apples-to-apples. It only costs
-    // ~0.4 s.
+    // CI-gated scenario, and a longer run steadies its telemetry/plain
+    // ratio. It costs about 0.7 s.
     for (const unsigned tasks : {64u, 1024u}) {
         bench_periodic_heavy(json, tasks, 32, Time::us(2000));
     }

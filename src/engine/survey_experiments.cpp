@@ -592,19 +592,4 @@ const Experiment* find_experiment(const std::vector<Experiment>& experiments,
     return nullptr;
 }
 
-JobIndex::JobIndex(const std::vector<Experiment>& experiments) {
-    for (const auto& e : experiments) {
-        for (const auto& job : e.jobs) by_hash_.emplace(job.spec.hash_hex(), &job);
-    }
-}
-
-const Job* JobIndex::find(std::string_view hash_hex) const {
-    const auto it = by_hash_.find(std::string{hash_hex});
-    return it == by_hash_.end() ? nullptr : it->second;
-}
-
-const Job* JobIndex::find(const ExperimentSpec& spec) const {
-    return find(spec.hash_hex());
-}
-
 }  // namespace hsw::engine

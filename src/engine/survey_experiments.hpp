@@ -10,7 +10,6 @@
 #pragma once
 
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/audit_config.hpp"
@@ -50,23 +49,5 @@ struct SurveyTuning {
 /// nullptr when no experiment has that name.
 [[nodiscard]] const Experiment* find_experiment(const std::vector<Experiment>& experiments,
                                                 std::string_view name);
-
-/// Content-addressed job lookup: every job of every experiment, indexed by
-/// its spec's full SHA-256 (hex). This is how a long-lived service resolves
-/// an incoming spec to runnable code -- two specs with the same hash are
-/// the same job, by the engine's determinism contract. The index borrows
-/// the experiments vector; it must outlive the index.
-class JobIndex {
-public:
-    explicit JobIndex(const std::vector<Experiment>& experiments);
-
-    /// nullptr when no registered job has that spec hash.
-    [[nodiscard]] const Job* find(std::string_view hash_hex) const;
-    [[nodiscard]] const Job* find(const ExperimentSpec& spec) const;
-    [[nodiscard]] std::size_t size() const { return by_hash_.size(); }
-
-private:
-    std::unordered_map<std::string, const Job*> by_hash_;
-};
 
 }  // namespace hsw::engine

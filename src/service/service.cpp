@@ -271,7 +271,6 @@ std::shared_ptr<const SurveyService::Registry> SurveyService::registry_for(
     }
     auto registry = std::make_shared<Registry>();
     registry->experiments = cfg_.registry_factory(request);
-    registry->index = std::make_unique<engine::JobIndex>(registry->experiments);
     registries_.emplace(key, registry);
     return registry;
 }

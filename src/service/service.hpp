@@ -144,7 +144,6 @@ public:
 private:
     struct Registry {
         std::vector<engine::Experiment> experiments;
-        std::unique_ptr<engine::JobIndex> index;
     };
     struct JobOutcome {
         protocol::ErrorCode code = protocol::ErrorCode::None;
