@@ -19,6 +19,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "router/upstream.hpp"
 #include "util/sync.hpp"
@@ -67,9 +69,22 @@ private:
             endpoint_->calls.fetch_add(1, std::memory_order_relaxed);
             return endpoint_->handler(request);
         }
+        void send_batch(std::vector<service::protocol::Request> requests) override {
+            pending_ = std::move(requests);
+        }
+        /// The handler runs here, at receive time, so a set_down() between
+        /// the halves fails the batch the way a shard death mid-reply does.
+        [[nodiscard]] std::vector<service::protocol::Response> receive_batch() override {
+            const auto requests = std::exchange(pending_, {});
+            std::vector<service::protocol::Response> responses;
+            responses.reserve(requests.size());
+            for (const auto& request : requests) responses.push_back(call(request));
+            return responses;
+        }
 
     private:
         std::shared_ptr<Endpoint> endpoint_;
+        std::vector<service::protocol::Request> pending_;
     };
 
     [[nodiscard]] std::shared_ptr<Endpoint> find(const std::string& address) const

@@ -401,6 +401,11 @@ std::vector<Response> Router::handle_batch(const std::vector<Request>& requests)
         by_shard[target].push_back(i);
     }
 
+    // Scatter: every group goes out before any reply is read, so the
+    // shards work at once and a batch costs one upstream round trip, not
+    // one per shard.
+    std::vector<std::optional<ConnectionPool::Lease>> leases;
+    leases.reserve(by_shard.size());
     for (const auto& [shard_index, indices] : by_shard) {
         Shard& shard = *shards_[shard_index];
         std::vector<Request> group;
@@ -411,28 +416,48 @@ std::vector<Response> Router::handle_batch(const std::vector<Request>& requests)
         forwarded_.fetch_add(group.size(), std::memory_order_relaxed);
         attempts_counter().inc(group.size());
 
-        bool delivered = false;
+        std::optional<ConnectionPool::Lease>& lease = leases.emplace_back();
         try {
-            auto lease = shard.pool->acquire();
-            std::vector<Response> group_responses = lease.call_batch(group);
-            note_success(shard);
-            for (std::size_t j = 0; j < indices.size(); ++j) {
-                responses[indices[j]] = std::move(group_responses[j]);
-            }
-            delivered = true;
+            lease.emplace(shard.pool->acquire());
+            lease->send_batch(std::move(group));
         } catch (const TransportError&) {
+            lease.reset();  // drops a connection whose send failed
             note_failure(shard);
         }
-        for (const std::size_t idx : indices) {
-            // Slow path: the whole group's upstream died, or this one
-            // answer is retriable elsewhere. route_query owns failover,
-            // backoff, and the Unavailable verdict, within what the group
-            // call left of the deadline budget.
-            if (!delivered || retriable(responses[idx].code)) {
-                responses[idx] = route_query(requests[idx], start);
-                responses[idx].tag = requests[idx].tag;
+    }
+
+    // Gather every group, so each lease goes back to the pool before a
+    // rescue needs a connection.
+    std::vector<std::size_t> rescue;
+    auto lease = leases.begin();
+    for (const auto& [shard_index, indices] : by_shard) {
+        Shard& shard = *shards_[shard_index];
+        bool delivered = false;
+        if (*lease) {
+            try {
+                std::vector<Response> group_responses = (*lease)->receive_batch();
+                note_success(shard);
+                for (std::size_t j = 0; j < indices.size(); ++j) {
+                    responses[indices[j]] = std::move(group_responses[j]);
+                }
+                delivered = true;
+            } catch (const TransportError&) {
+                note_failure(shard);
             }
+            lease->reset();
         }
+        ++lease;
+        for (const std::size_t idx : indices) {
+            if (!delivered || retriable(responses[idx].code)) rescue.push_back(idx);
+        }
+    }
+
+    // Slow path: a group's upstream died, or one answer is retriable
+    // elsewhere. route_query owns failover, backoff, and the Unavailable
+    // verdict, within what the batch left of the deadline budget.
+    for (const std::size_t idx : rescue) {
+        responses[idx] = route_query(requests[idx], start);
+        responses[idx].tag = requests[idx].tag;
     }
     return responses;
 }

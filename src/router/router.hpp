@@ -104,8 +104,9 @@ public:
 
     /// Batch dispatch for the front door: query sub-requests are
     /// grouped by target shard (first live replica of each route key) and
-    /// forwarded as one pipelined upstream batch per shard; non-query
-    /// verbs answer locally via handle(). A group whose upstream dies --
+    /// forwarded as one pipelined upstream batch per shard, every group
+    /// sent before any reply is read; non-query verbs answer locally via
+    /// handle(). A group whose upstream dies --
     /// or any sub-request that comes back retriable (Overloaded,
     /// ShuttingDown) -- re-routes through route_query() for the full
     /// per-replica failover treatment, so batch semantics are exactly

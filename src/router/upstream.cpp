@@ -96,33 +96,36 @@ int dial(const ShardEndpoint& endpoint, const TransportOptions& options) {
     return fd;
 }
 
+/// Every read of the socket goes through `reader_`, whose buffer the pool
+/// bounds along with the connections themselves.
 class TcpConnection final : public Connection {
 public:
-    explicit TcpConnection(int fd) : fd_{fd} {}
+    explicit TcpConnection(int fd) : fd_{fd}, reader_{fd} {}
     ~TcpConnection() override { close_quietly(fd_); }
     TcpConnection(const TcpConnection&) = delete;
     TcpConnection& operator=(const TcpConnection&) = delete;
 
+    // The protocol helpers fold EOF, EAGAIN (SO_RCVTIMEO expiry) and
+    // truncation together; all of them poison the stream.
     Response call(const Request& request) override {
-        if (!service::protocol::write_frame(fd_, request.encode())) {
-            throw TransportError{"upstream write failed"};
+        try {
+            return service::protocol::round_trip(fd_, reader_, request);
+        } catch (const std::runtime_error& e) {
+            throw TransportError{std::string{"upstream: "} + e.what()};
         }
-        const auto frame = service::protocol::read_frame(fd_);
-        if (!frame) {
-            // read_frame folds EOF, EAGAIN (SO_RCVTIMEO expiry) and
-            // truncation together; all of them poison the stream.
-            throw TransportError{"upstream closed or timed out mid-response"};
-        }
-        std::string error;
-        const auto response = service::protocol::parse_response(*frame, &error);
-        if (!response) throw TransportError{"bad upstream response: " + error};
-        return *response;
     }
 
-    std::vector<Response> call_batch(
-        const std::vector<Request>& requests) override {
+    void send_batch(std::vector<Request> requests) override {
         try {
-            return service::protocol::call_batch_over_fd(fd_, requests);
+            pending_ = service::protocol::send_batch(fd_, std::move(requests));
+        } catch (const std::runtime_error& e) {
+            throw TransportError{std::string{"upstream batch: "} + e.what()};
+        }
+    }
+
+    std::vector<Response> receive_batch() override {
+        try {
+            return service::protocol::receive_batch(reader_, std::exchange(pending_, {}));
         } catch (const std::runtime_error& e) {
             throw TransportError{std::string{"upstream batch: "} + e.what()};
         }
@@ -130,6 +133,8 @@ public:
 
 private:
     int fd_;
+    service::protocol::FrameReader reader_;
+    service::protocol::PendingBatch pending_;
 };
 
 }  // namespace

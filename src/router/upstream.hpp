@@ -7,10 +7,11 @@
 // SurveyService handlers with controllable fault injection.
 //
 // ConnectionPool keeps idle connections per shard so the steady state is
-// zero dials: a lease checks a connection out, call() rides it, and the
-// destructor returns it -- unless the call threw, in which case the
-// connection is presumed poisoned (a half-read frame is unrecoverable on
-// a pipelined byte stream) and dropped on the floor.
+// zero dials: a lease checks a connection out, call() or a batch rides
+// it, and the destructor returns it -- unless a call threw or a batch's
+// replies were not all read, in which case the connection is presumed
+// poisoned (a half-read frame is unrecoverable on a pipelined byte
+// stream) and dropped on the floor.
 #pragma once
 
 #include <chrono>
@@ -54,17 +55,13 @@ public:
     /// framing failure; the connection must then be discarded.
     [[nodiscard]] virtual service::protocol::Response call(
         const service::protocol::Request& request) = 0;
-    /// Round-trips many requests, responses in request order. The base
-    /// implementation loops over call(); TcpConnection overrides it with
-    /// wire pipelining (one batch frame, tagged responses). Throws
-    /// TransportError as call() does; the connection is then poisoned.
-    [[nodiscard]] virtual std::vector<service::protocol::Response> call_batch(
-        const std::vector<service::protocol::Request>& requests) {
-        std::vector<service::protocol::Response> responses;
-        responses.reserve(requests.size());
-        for (const auto& request : requests) responses.push_back(call(request));
-        return responses;
-    }
+    /// Send half of a pipelined batch: puts every request on the wire and
+    /// returns without waiting, so a caller can send to several shards
+    /// before it reads any reply. Throws TransportError as call() does.
+    virtual void send_batch(std::vector<service::protocol::Request> requests) = 0;
+    /// Receive half: waits for the replies to the batch send_batch sent,
+    /// in request order. Throws TransportError as call() does.
+    [[nodiscard]] virtual std::vector<service::protocol::Response> receive_batch() = 0;
 };
 
 class Transport {
@@ -94,14 +91,16 @@ public:
           max_idle_{max_idle} {}
 
     /// RAII checkout. `call()` forwards to the connection and, on
-    /// TransportError, marks the connection broken (the destructor then
-    /// closes instead of recycling it).
+    /// TransportError, marks it unusable (the destructor then closes
+    /// instead of recycling it). Between send_batch() and a successful
+    /// receive_batch() the connection is unusable too: a lease destroyed
+    /// with replies in flight drops it.
     class Lease {
     public:
         Lease(ConnectionPool& pool, std::unique_ptr<Connection> conn)
             : pool_{&pool}, conn_{std::move(conn)} {}
         ~Lease() {
-            if (conn_ && !broken_) pool_->give_back(std::move(conn_));
+            if (conn_ && reusable_) pool_->give_back(std::move(conn_));
         }
         Lease(Lease&&) = default;
         Lease(const Lease&) = delete;
@@ -113,25 +112,26 @@ public:
             try {
                 return conn_->call(request);
             } catch (...) {
-                broken_ = true;
+                reusable_ = false;
                 throw;
             }
         }
 
-        [[nodiscard]] std::vector<service::protocol::Response> call_batch(
-            const std::vector<service::protocol::Request>& requests) {
-            try {
-                return conn_->call_batch(requests);
-            } catch (...) {
-                broken_ = true;
-                throw;
-            }
+        void send_batch(std::vector<service::protocol::Request> requests) {
+            reusable_ = false;
+            conn_->send_batch(std::move(requests));
+        }
+
+        [[nodiscard]] std::vector<service::protocol::Response> receive_batch() {
+            std::vector<service::protocol::Response> responses = conn_->receive_batch();
+            reusable_ = true;
+            return responses;
         }
 
     private:
         ConnectionPool* pool_;
         std::unique_ptr<Connection> conn_;
-        bool broken_ = false;
+        bool reusable_ = true;
     };
 
     /// Reuses an idle connection or dials a fresh one (TransportError on

@@ -107,16 +107,19 @@ struct FrameServer::Conn {
     std::deque<std::shared_ptr<Slot>> slots;
 
     // Write side: encoded frames pending flush. `head` carries the frame
-    // length prefix + response header (+ inline payload for small
-    // responses); `body` shares the cached payload allocation -- a hot
-    // response's bytes are never copied into the connection.
+    // length prefix + response header; the payload is either moved out of
+    // its response (`body`) or shares the cached allocation
+    // (`shared_body`) -- a response's bytes are never copied into the
+    // connection.
     struct OutChunk {
         std::string head;
-        std::shared_ptr<const std::string> body;
+        std::string body;
+        std::shared_ptr<const std::string> shared_body;
         std::size_t off = 0;  // bytes of head+body already written
-        [[nodiscard]] std::size_t size() const {
-            return head.size() + (body ? body->size() : 0);
+        [[nodiscard]] std::string_view body_view() const {
+            return shared_body ? std::string_view{*shared_body} : std::string_view{body};
         }
+        [[nodiscard]] std::size_t size() const { return head.size() + body_view().size(); }
     };
     std::deque<OutChunk> out;
     std::size_t out_bytes = 0;  // unwritten bytes across `out`
@@ -505,23 +508,18 @@ void FrameServer::parse_frames(Reactor& reactor, Conn& conn) {
     for (;;) {
         const std::size_t avail = conn.in.size() - conn.in_off;
         if (avail < 4) break;
-        const auto* p =
-            reinterpret_cast<const unsigned char*>(conn.in.data() + conn.in_off);
-        const std::uint32_t len = (static_cast<std::uint32_t>(p[0]) << 24) |
-                                  (static_cast<std::uint32_t>(p[1]) << 16) |
-                                  (static_cast<std::uint32_t>(p[2]) << 8) |
-                                  static_cast<std::uint32_t>(p[3]);
-        if (len > protocol::kMaxFrameBytes) {
-            // Garbage framing is unrecoverable -- same disconnect the old
-            // read_frame() produced.
+        const auto len = protocol::frame_length(conn.in.data() + conn.in_off);
+        if (!len) {
+            // Garbage framing is unrecoverable -- same disconnect
+            // read_frame() gives.
             close_connection(reactor, conn);
             return;
         }
-        if (avail < 4u + len) break;
+        if (avail < 4u + *len) break;
         dispatch_frame(reactor, conn,
-                       std::string_view{conn.in}.substr(conn.in_off + 4, len));
+                       std::string_view{conn.in}.substr(conn.in_off + 4, *len));
         if (conn.fd < 0) return;  // dispatch closed the connection
-        conn.in_off += 4u + len;
+        conn.in_off += 4u + *len;
     }
     // Compact lazily: only when the consumed prefix dominates the buffer.
     if (conn.in_off > 0 && conn.in_off >= conn.in.size() / 2) {
@@ -683,18 +681,15 @@ void FrameServer::flush_ready(Reactor& reactor, Conn& conn) {
             continue;
         }
         Conn::OutChunk chunk;
-        const std::string_view payload = slot.response.payload_view();
-        const std::uint32_t frame_len = static_cast<std::uint32_t>(
-            slot.response.encode_header().size() + payload.size());
-        const char prefix[4] = {
-            static_cast<char>(frame_len >> 24), static_cast<char>(frame_len >> 16),
-            static_cast<char>(frame_len >> 8), static_cast<char>(frame_len)};
-        chunk.head.assign(prefix, sizeof prefix);
-        chunk.head += slot.response.encode_header();
+        const std::string header = slot.response.encode_header();
+        const auto prefix = protocol::frame_prefix(static_cast<std::uint32_t>(
+            header.size() + slot.response.payload_view().size()));
+        chunk.head.reserve(prefix.size() + header.size());
+        chunk.head.append(prefix.data(), prefix.size()).append(header);
         if (slot.response.shared_payload) {
-            chunk.body = slot.response.shared_payload;  // zero-copy body
+            chunk.shared_body = std::move(slot.response.shared_payload);
         } else {
-            chunk.head += slot.response.payload;
+            chunk.body = std::move(slot.response.payload);
         }
         conn.out_bytes += chunk.size();
         conn.out.push_back(std::move(chunk));
@@ -730,10 +725,10 @@ bool FrameServer::flush_output(Reactor& reactor, Conn& conn) {
             } else {
                 off -= chunk.head.size();
             }
-            if (chunk.body && off < chunk.body->size()) {
-                iov[iov_count].iov_base =
-                    const_cast<char*>(chunk.body->data()) + off;
-                iov[iov_count].iov_len = chunk.body->size() - off;
+            const std::string_view body = chunk.body_view();
+            if (off < body.size()) {
+                iov[iov_count].iov_base = const_cast<char*>(body.data()) + off;
+                iov[iov_count].iov_len = body.size() - off;
                 ++iov_count;
             }
         }

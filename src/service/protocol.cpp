@@ -1,13 +1,14 @@
 #include "service/protocol.hpp"
 
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <stdexcept>
-#include <system_error>
-#include <unordered_map>
 
 #include "engine/sha256.hpp"
 #include "engine/spec.hpp"  // engine::name(AuditMode)
@@ -74,25 +75,6 @@ bool read_exact(int fd, char* buf, std::size_t len) {
     while (len > 0) {
         const ssize_t n = ::read(fd, buf, len);
         if (n == 0) return false;
-        if (n < 0) {
-            if (errno == EINTR) continue;
-            return false;
-        }
-        buf += n;
-        len -= static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
-bool write_all(int fd, const char* buf, std::size_t len) {
-    while (len > 0) {
-        // MSG_NOSIGNAL: writing into a socket whose peer died must surface
-        // as EPIPE (-> false -> the caller's failover path), not SIGPIPE
-        // killing the process. The router hits this on every shard death.
-        // Frames also flow over pipes (tests, future local IPC), where
-        // send() is ENOTSOCK -- fall back to plain write() there.
-        ssize_t n = ::send(fd, buf, len, MSG_NOSIGNAL);
-        if (n < 0 && errno == ENOTSOCK) n = ::write(fd, buf, len);
         if (n < 0) {
             if (errno == EINTR) continue;
             return false;
@@ -440,11 +422,8 @@ std::string encode_batch(const std::vector<Request>& requests) {
     out += "count " + std::to_string(requests.size()) + '\n';
     for (const Request& req : requests) {
         const std::string body = req.encode();
-        const std::uint32_t len = static_cast<std::uint32_t>(body.size());
-        const char prefix[4] = {
-            static_cast<char>(len >> 24), static_cast<char>(len >> 16),
-            static_cast<char>(len >> 8), static_cast<char>(len)};
-        out.append(prefix, sizeof prefix);
+        const auto prefix = frame_prefix(static_cast<std::uint32_t>(body.size()));
+        out.append(prefix.data(), prefix.size());
         out += body;
     }
     return out;
@@ -474,25 +453,21 @@ std::optional<std::vector<Request>> parse_batch(std::string_view text,
             set_error(error, "truncated batch length prefix");
             return std::nullopt;
         }
-        const auto* p = reinterpret_cast<const unsigned char*>(text.data());
-        const std::uint32_t len = (static_cast<std::uint32_t>(p[0]) << 24) |
-                                  (static_cast<std::uint32_t>(p[1]) << 16) |
-                                  (static_cast<std::uint32_t>(p[2]) << 8) |
-                                  static_cast<std::uint32_t>(p[3]);
+        const auto len = frame_length(text.data());
         text.remove_prefix(4);
-        if (text.size() < len) {
+        if (!len || text.size() < *len) {
             set_error(error, "truncated batch sub-request");
             return std::nullopt;
         }
         std::string sub_error;
-        auto req = parse_request(text.substr(0, len), &sub_error);
+        auto req = parse_request(text.substr(0, *len), &sub_error);
         if (!req) {
             set_error(error,
                       "batch sub-request " + std::to_string(i) + ": " + sub_error);
             return std::nullopt;
         }
         out.push_back(std::move(*req));
-        text.remove_prefix(len);
+        text.remove_prefix(*len);
     }
     if (!text.empty()) {
         set_error(error, "trailing bytes after batch");
@@ -501,73 +476,195 @@ std::optional<std::vector<Request>> parse_batch(std::string_view text,
     return out;
 }
 
+std::array<char, 4> frame_prefix(std::uint32_t len) {
+    return {static_cast<char>(len >> 24), static_cast<char>(len >> 16),
+            static_cast<char>(len >> 8), static_cast<char>(len)};
+}
+
+std::optional<std::uint32_t> frame_length(const char* prefix) {
+    const auto* p = reinterpret_cast<const unsigned char*>(prefix);
+    const std::uint32_t len = (static_cast<std::uint32_t>(p[0]) << 24) |
+                              (static_cast<std::uint32_t>(p[1]) << 16) |
+                              (static_cast<std::uint32_t>(p[2]) << 8) |
+                              static_cast<std::uint32_t>(p[3]);
+    if (len > kMaxFrameBytes) return std::nullopt;
+    return len;
+}
+
 bool write_frame(int fd, std::string_view payload) {
     if (payload.size() > kMaxFrameBytes) return false;
-    const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
-    const char prefix[4] = {static_cast<char>(len >> 24), static_cast<char>(len >> 16),
-                            static_cast<char>(len >> 8), static_cast<char>(len)};
-    return write_all(fd, prefix, sizeof prefix) &&
-           write_all(fd, payload.data(), payload.size());
+    const auto prefix = frame_prefix(static_cast<std::uint32_t>(payload.size()));
+    iovec iov[2] = {{const_cast<char*>(prefix.data()), prefix.size()},
+                    {const_cast<char*>(payload.data()), payload.size()}};
+    iovec* next = iov;
+    std::size_t parts = 2;
+    for (bool socket = true; parts > 0;) {
+        // MSG_NOSIGNAL: writing into a socket whose peer died must surface
+        // as EPIPE (-> false -> the caller's failover path), not SIGPIPE
+        // killing the process. The router hits this on every shard death.
+        // Frames also flow over pipes (tests), where sendmsg() is ENOTSOCK
+        // -- writev() there.
+        msghdr msg{};
+        msg.msg_iov = next;
+        msg.msg_iovlen = parts;
+        const ssize_t n = socket ? ::sendmsg(fd, &msg, MSG_NOSIGNAL)
+                                 : ::writev(fd, next, static_cast<int>(parts));
+        if (n < 0) {
+            if (errno == ENOTSOCK && socket) {
+                socket = false;
+                continue;
+            }
+            if (errno == EINTR) continue;
+            return false;
+        }
+        // Resume a short write where it stopped, in either part.
+        auto sent = static_cast<std::size_t>(n);
+        while (parts > 0 && sent >= next->iov_len) {
+            sent -= next->iov_len;
+            ++next;
+            --parts;
+        }
+        if (parts > 0) {
+            next->iov_base = static_cast<char*>(next->iov_base) + sent;
+            next->iov_len -= sent;
+        }
+    }
+    return true;
 }
 
 std::optional<std::string> read_frame(int fd) {
-    unsigned char prefix[4];
-    if (!read_exact(fd, reinterpret_cast<char*>(prefix), sizeof prefix)) {
-        return std::nullopt;
-    }
-    const std::uint32_t len = (static_cast<std::uint32_t>(prefix[0]) << 24) |
-                              (static_cast<std::uint32_t>(prefix[1]) << 16) |
-                              (static_cast<std::uint32_t>(prefix[2]) << 8) |
-                              static_cast<std::uint32_t>(prefix[3]);
-    if (len > kMaxFrameBytes) return std::nullopt;
-    std::string payload(len, '\0');
+    char prefix[4];
+    if (!read_exact(fd, prefix, sizeof prefix)) return std::nullopt;
+    const auto len = frame_length(prefix);
+    if (!len) return std::nullopt;
+    std::string payload(*len, '\0');
     if (!read_exact(fd, payload.data(), payload.size())) return std::nullopt;
     return payload;
 }
 
-std::vector<Response> call_batch_over_fd(int fd, const std::vector<Request>& requests) {
-    std::vector<Response> responses;
-    if (requests.empty()) return responses;
+std::optional<std::string_view> FrameReader::next_frame() {
+    if (begin_ == end_) {
+        // Drained: restart at the front, and let go of a buffer that grew
+        // for one large frame.
+        begin_ = end_ = 0;
+        if (capacity_ > kRetainBytes) {
+            buf_.reset();
+            capacity_ = 0;
+        }
+    }
+    if (!fill(4)) return std::nullopt;
+    const auto len = frame_length(buf_.get() + begin_);
+    if (!len || !fill(4u + *len)) return std::nullopt;
+    const std::string_view payload{buf_.get() + begin_ + 4, *len};
+    begin_ += 4u + *len;
+    return payload;
+}
 
+bool FrameReader::fill(std::size_t want) {
+    if (end_ - begin_ >= want) return true;
+    if (capacity_ - begin_ < want) {
+        // The frame does not fit behind the unread bytes: move them to
+        // the front, into a buffer that holds the whole frame.
+        const std::size_t unread = end_ - begin_;
+        if (capacity_ < want) {
+            const std::size_t capacity = std::max(want, kInitialBytes);
+            auto grown = std::make_unique_for_overwrite<char[]>(capacity);
+            if (unread > 0) std::memcpy(grown.get(), buf_.get() + begin_, unread);
+            buf_ = std::move(grown);
+            capacity_ = capacity;
+        } else if (unread > 0) {
+            std::memmove(buf_.get(), buf_.get() + begin_, unread);
+        }
+        begin_ = 0;
+        end_ = unread;
+    }
+    while (end_ - begin_ < want) {
+        // Ask for all the free space: one read takes a whole reply burst.
+        const ssize_t n = ::read(fd_, buf_.get() + end_, capacity_ - end_);
+        if (n > 0) {
+            end_ += static_cast<std::size_t>(n);
+            continue;
+        }
+        if (n < 0 && errno == EINTR) continue;
+        return false;
+    }
+    return true;
+}
+
+Response round_trip(int fd, FrameReader& reader, const Request& request) {
+    if (!write_frame(fd, request.encode())) {
+        throw std::runtime_error{"request write failed"};
+    }
+    const auto frame = reader.next_frame();
+    if (!frame) throw std::runtime_error{"connection closed or timed out mid-response"};
+    std::string error;
+    auto response = parse_response(*frame, &error);
+    if (!response) throw std::runtime_error{"bad response frame: " + error};
+    if (reader.buffered() != 0) throw std::runtime_error{"bytes past the reply"};
+    return std::move(*response);
+}
+
+PendingBatch send_batch(int fd, std::vector<Request> requests) {
+    PendingBatch batch;
+    if (requests.empty()) return batch;
+    auto& slots = batch.slots;
+    const auto by_tag = [](const PendingBatch::Slot& a, const PendingBatch::Slot& b) {
+        return a.tag < b.tag;
+    };
     // Tag every sub-request so out-of-order responses can be matched back
     // to their slot; caller-assigned nonzero tags are preserved.
-    std::vector<Request> tagged{requests};
-    std::unordered_map<std::uint64_t, std::size_t> slot_by_tag;
-    std::uint64_t next_tag = 1;
-    for (std::size_t i = 0; i < tagged.size(); ++i) {
-        if (tagged[i].tag == 0) {
-            while (slot_by_tag.count(next_tag) != 0) ++next_tag;
-            tagged[i].tag = next_tag;
-        }
-        if (!slot_by_tag.emplace(tagged[i].tag, i).second) {
-            throw std::runtime_error{"duplicate request tag in batch"};
-        }
+    slots.reserve(requests.size());
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        if (requests[i].tag != 0) slots.push_back({requests[i].tag, i, false, false});
     }
-    if (!write_frame(fd, encode_batch(tagged))) {
+    std::sort(slots.begin(), slots.end(), by_tag);
+    const auto duplicate = std::adjacent_find(
+        slots.begin(), slots.end(),
+        [](const auto& a, const auto& b) { return a.tag == b.tag; });
+    if (duplicate != slots.end()) {
+        throw std::runtime_error{"duplicate request tag in batch"};
+    }
+    // Untagged sub-requests take the smallest tags no caller tag uses.
+    const auto caller_tagged = static_cast<std::ptrdiff_t>(slots.size());
+    std::uint64_t next_tag = 1;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        if (requests[i].tag != 0) continue;
+        while (std::binary_search(slots.begin(), slots.begin() + caller_tagged,
+                                  PendingBatch::Slot{next_tag, 0, false, false}, by_tag)) {
+            ++next_tag;
+        }
+        requests[i].tag = next_tag++;
+        slots.push_back({requests[i].tag, i, true, false});
+    }
+    std::inplace_merge(slots.begin(), slots.begin() + caller_tagged, slots.end(), by_tag);
+    if (!write_frame(fd, encode_batch(requests))) {
         throw std::runtime_error{"batch write failed"};
     }
+    return batch;
+}
 
-    responses.resize(tagged.size());
-    for (std::size_t received = 0; received < tagged.size(); ++received) {
-        const auto frame = read_frame(fd);
-        if (!frame) throw std::runtime_error{"connection closed mid-batch"};
+std::vector<Response> receive_batch(FrameReader& reader, PendingBatch batch) {
+    auto& slots = batch.slots;
+    std::vector<Response> responses(slots.size());
+    for (std::size_t received = 0; received < slots.size(); ++received) {
+        const auto frame = reader.next_frame();
+        if (!frame) throw std::runtime_error{"connection closed or timed out mid-batch"};
         std::string error;
         auto response = parse_response(*frame, &error);
         if (!response) throw std::runtime_error{"bad response frame: " + error};
-        const auto slot = slot_by_tag.find(response->tag);
-        if (slot == slot_by_tag.end()) {
+        const auto slot = std::lower_bound(
+            slots.begin(), slots.end(), response->tag,
+            [](const PendingBatch::Slot& s, std::uint64_t tag) { return s.tag < tag; });
+        if (slot == slots.end() || slot->tag != response->tag || slot->answered) {
             throw std::runtime_error{"response carries unknown tag " +
                                      std::to_string(response->tag)};
         }
-        responses[slot->second] = std::move(*response);
-        slot_by_tag.erase(slot);
+        slot->answered = true;
+        // A tag send_batch chose was its bookkeeping, not the caller's.
+        if (slot->assigned) response->tag = 0;
+        responses[slot->index] = std::move(*response);
     }
-    // Sub-requests the caller left untagged get their responses untagged
-    // again -- the wire tag was this helper's bookkeeping, not the
-    // caller's.
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        if (requests[i].tag == 0) responses[i].tag = 0;
-    }
+    if (reader.buffered() != 0) throw std::runtime_error{"bytes past the last reply"};
     return responses;
 }
 

@@ -55,6 +55,8 @@
 // job's raw payload blob, byte-identical to what the batch engine caches.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -199,22 +201,88 @@ struct Response {
 
 // --- Frame I/O over file descriptors (sockets, pipes) ---
 
-/// Writes the 4-byte length prefix plus the payload; retries short writes.
-/// False on any I/O error or when `payload` exceeds kMaxFrameBytes.
+/// The 4-byte big-endian prefix of a `len`-byte frame (also the layout of
+/// a batch's sub-request length prefixes).
+[[nodiscard]] std::array<char, 4> frame_prefix(std::uint32_t len);
+
+/// The payload length that a 4-byte prefix announces, or nullopt when it
+/// exceeds kMaxFrameBytes. Every frame reader decodes prefixes here.
+[[nodiscard]] std::optional<std::uint32_t> frame_length(const char* prefix);
+
+/// Writes the 4-byte length prefix plus the payload with one sendmsg, so a
+/// small frame leaves as one segment; resumes short writes across both
+/// parts, and uses writev on a non-socket fd (a pipe). False on any I/O
+/// error or when `payload` exceeds kMaxFrameBytes.
 bool write_frame(int fd, std::string_view payload);
 
-/// Reads one frame. nullopt on clean EOF before the first byte, on a
-/// truncated frame, on I/O error, or on an oversized length prefix.
+/// Reads exactly one frame, never a byte past it. nullopt on clean EOF
+/// before the first byte, on a truncated frame, on I/O error, or on an
+/// oversized length prefix.
 [[nodiscard]] std::optional<std::string> read_frame(int fd);
 
-/// Client-side pipelining over a connected fd, shared by ServiceClient
-/// and the router's upstream connections: tags every sub-request, writes
-/// one batch frame, then reorders the (possibly out-of-order) tagged
-/// responses back into request order. Caller-assigned nonzero tags are
-/// preserved; sub-requests the caller left untagged come back untagged.
-/// Throws std::runtime_error on transport or framing failure (the stream
-/// is then poisoned).
-[[nodiscard]] std::vector<Response> call_batch_over_fd(
-    int fd, const std::vector<Request>& requests);
+/// Buffered frame reader for one blocking fd: each read takes whatever the
+/// fd holds into a buffer the reader owns, and frames are split out of it,
+/// so a burst of replies costs one read instead of two per frame. Once an
+/// fd has a reader, every read of it must go through that reader -- bytes
+/// it buffered are invisible to read_frame(). The buffer starts small,
+/// grows only to fit a frame, and is released when it drains after a
+/// frame larger than kRetainBytes.
+class FrameReader {
+public:
+    explicit FrameReader(int fd) : fd_{fd} {}
+
+    /// The next frame's payload, valid until the next call. nullopt on
+    /// clean EOF, EOF mid-frame, I/O error (an SO_RCVTIMEO expiry too) or
+    /// an oversized length prefix; the stream is then unusable.
+    [[nodiscard]] std::optional<std::string_view> next_frame();
+
+    /// Bytes read from the fd but not yet returned in a frame.
+    [[nodiscard]] std::size_t buffered() const { return end_ - begin_; }
+
+private:
+    static constexpr std::size_t kInitialBytes = 16u << 10;
+    static constexpr std::size_t kRetainBytes = 1u << 20;
+
+    /// Reads until `want` unread bytes are buffered; false on EOF or error.
+    bool fill(std::size_t want);
+
+    int fd_;
+    std::unique_ptr<char[]> buf_;
+    std::size_t capacity_ = 0;
+    std::size_t begin_ = 0;  // first unread byte
+    std::size_t end_ = 0;    // one past the last buffered byte
+};
+
+/// One request, one reply over a connected fd and its reader. Throws
+/// std::runtime_error on a failed write, EOF or timeout, a bad frame, or
+/// bytes past the reply (the stream is then poisoned).
+[[nodiscard]] Response round_trip(int fd, FrameReader& reader, const Request& request);
+
+/// A batch that send_batch wrote and receive_batch has yet to read: which
+/// request each wire tag answers, sorted by tag.
+struct PendingBatch {
+    struct Slot {
+        std::uint64_t tag = 0;
+        std::size_t index = 0;  // the request's position in the batch
+        bool assigned = false;  // send_batch chose the tag: strip it again
+        bool answered = false;
+    };
+    std::vector<Slot> slots;
+};
+
+/// Send half of client-side pipelining, shared by ServiceClient and the
+/// router's upstream connections: keeps caller-assigned nonzero tags, gives
+/// every untagged sub-request a tag no other one uses, and writes one batch
+/// frame. Throws std::runtime_error on a duplicate caller tag or a failed
+/// write. An empty batch writes nothing.
+[[nodiscard]] PendingBatch send_batch(int fd, std::vector<Request> requests);
+
+/// Receive half: reads one response per sub-request through `reader`,
+/// puts the (possibly out-of-order) tagged responses back in request order
+/// and strips the tags send_batch chose. Throws std::runtime_error on EOF
+/// or timeout, a bad frame, an unknown or repeated tag, or bytes past the
+/// last reply (the stream is then poisoned).
+[[nodiscard]] std::vector<Response> receive_batch(FrameReader& reader,
+                                                  PendingBatch batch);
 
 }  // namespace hsw::service::protocol

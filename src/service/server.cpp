@@ -31,6 +31,22 @@ sockaddr_in make_address(const std::string& host, std::uint16_t port) {
     return addr;
 }
 
+/// A TCP_NODELAY connection to host:port; throws std::runtime_error.
+int dial(const std::string& host, std::uint16_t port) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0) throw std::runtime_error{"socket() failed"};
+    sockaddr_in addr = make_address(host, port);
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
+        const std::string reason = std::system_category().message(errno);
+        close_quietly(fd);
+        throw std::runtime_error{"connect(" + host + ":" + std::to_string(port) +
+                                 ") failed: " + reason};
+    }
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    return fd;
+}
+
 }  // namespace
 
 void stamp_trace(protocol::Request& request) {
@@ -63,20 +79,8 @@ SurveyServer::SurveyServer(ServerConfig cfg)
         });
 }
 
-ServiceClient::ServiceClient(const std::string& host, std::uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) throw std::runtime_error{"socket() failed"};
-    sockaddr_in addr = make_address(host, port);
-    if (::connect(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
-        const std::string reason = std::system_category().message(errno);
-        close_quietly(fd_);
-        fd_ = -1;
-        throw std::runtime_error{"connect(" + host + ":" + std::to_string(port) +
-                                 ") failed: " + reason};
-    }
-    const int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-}
+ServiceClient::ServiceClient(const std::string& host, std::uint16_t port)
+    : fd_{dial(host, port)}, reader_{fd_} {}
 
 ServiceClient::~ServiceClient() { close_quietly(fd_); }
 
@@ -85,15 +89,7 @@ protocol::Response ServiceClient::call(const protocol::Request& request) {
     if (span.armed()) span.set_label(protocol::name(request.verb));
     protocol::Request traced = request;
     stamp_trace(traced);
-    if (!protocol::write_frame(fd_, traced.encode())) {
-        throw std::runtime_error{"request write failed"};
-    }
-    const auto frame = protocol::read_frame(fd_);
-    if (!frame) throw std::runtime_error{"connection closed mid-response"};
-    std::string error;
-    auto response = protocol::parse_response(*frame, &error);
-    if (!response) throw std::runtime_error{"bad response frame: " + error};
-    return std::move(*response);
+    return protocol::round_trip(fd_, reader_, traced);
 }
 
 std::vector<protocol::Response> ServiceClient::call_pipelined(
@@ -102,7 +98,7 @@ std::vector<protocol::Response> ServiceClient::call_pipelined(
     if (span.armed()) span.set_label("batch");
     std::vector<protocol::Request> traced = requests;
     for (protocol::Request& req : traced) stamp_trace(req);
-    return protocol::call_batch_over_fd(fd_, traced);
+    return protocol::receive_batch(reader_, protocol::send_batch(fd_, std::move(traced)));
 }
 
 }  // namespace hsw::service

@@ -105,6 +105,7 @@ public:
 
 private:
     int fd_ = -1;
+    protocol::FrameReader reader_;  // every read of fd_ goes through it
 };
 
 }  // namespace hsw::service

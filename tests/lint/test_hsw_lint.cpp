@@ -95,6 +95,34 @@ TEST(HswLint, ReactorRegionRuleInlineOnSyntheticSource) {
     EXPECT_EQ(found[0].line, 2);
 }
 
+TEST(HswLint, PipelinedCallHalvesAndBurstReadsBlockOnSyntheticSource) {
+    // The two halves of a pipelined upstream call and the burst reader's
+    // read wait for the peer: each fires on a reactor thread and under a
+    // lock, and stays clean outside both.
+    const std::string reactor =
+        "// hsw:reactor-thread\n"
+        "void loop() { lease.send_batch(g); }\n"
+        "void gather() { auto r = lease.receive_batch(); }\n"
+        "void read() { auto f = reader.next_frame(); }\n"
+        "// hsw:end-reactor-thread\n"
+        "void outside() { lease.send_batch(g); reader.next_frame(); }\n";
+    const auto on_reactor = lint_file("src/router/r.cpp", reactor, Catalog{});
+    ASSERT_EQ(on_reactor.size(), 3u);
+    for (std::size_t i = 0; i < on_reactor.size(); ++i) {
+        EXPECT_EQ(on_reactor[i].rule, "reactor-blocking");
+        EXPECT_EQ(on_reactor[i].line, static_cast<int>(i) + 2);
+    }
+    const std::string locked =
+        "void f() {\n"
+        "    util::LockGuard lock{mu};\n"
+        "    auto r = lease.receive_batch();\n"
+        "}\n";
+    const auto under_lock = lint_file("src/router/l.cpp", locked, Catalog{});
+    ASSERT_EQ(under_lock.size(), 1u);
+    EXPECT_EQ(under_lock[0].rule, "lock-across-io");
+    EXPECT_EQ(under_lock[0].line, 3);
+}
+
 TEST(HswLint, SharedLockGuardCountsForLockAcrossIo) {
     const std::string content =
         "void f() {\n"

@@ -2,10 +2,15 @@
 // connection pooling, replica failover, health ejection/readmission, the
 // background prober, deadline budgets, and fleet metrics aggregation.
 // RouterOverTcp runs the production path: a RouterServer over TcpTransport
-// in front of two in-process SurveyServer shards.
+// in front of two in-process SurveyServer shards, and a Router over
+// TcpTransport in front of two shards scripted by the test.
 #include "router/router.hpp"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -22,6 +27,7 @@
 #include "service/server.hpp"
 #include "service/service.hpp"
 #include "util/minijson.hpp"
+#include "util/sync.hpp"
 
 using namespace hsw;
 using router::FleetMap;
@@ -170,6 +176,26 @@ TEST(RouterTest, RoutesByContentAndReusesPooledConnections) {
     EXPECT_EQ(stats.queries, 2u);
     EXPECT_EQ(stats.forwarded, 2u);
     EXPECT_EQ(stats.failovers, 0u);
+}
+
+TEST(RouterTest, LeaseDestroyedBetweenSendAndReceiveDropsItsConnection) {
+    Fixture fx{1};
+    const ShardEndpoint& endpoint = fx.endpoints[0];
+    router::ConnectionPool pool{fx.transport, endpoint, router::TransportOptions{}};
+    {
+        auto lease = pool.acquire();
+        lease.send_batch({query()});
+    }  // its reply was never read: the connection must not be reused
+    EXPECT_EQ(pool.idle_count(), 0u);
+    {
+        auto lease = pool.acquire();
+        lease.send_batch({query(), query("other")});
+        const std::vector<Response> responses = lease.receive_batch();
+        ASSERT_EQ(responses.size(), 2u);
+        EXPECT_EQ(responses[1].payload, "s0");
+    }
+    EXPECT_EQ(fx.transport.dials(endpoint.address()), 2u);  // dialed afresh
+    EXPECT_EQ(pool.idle_count(), 1u);  // a fully read batch recycles
 }
 
 TEST(RouterTest, TransportFailureFailsOverToReplica) {
@@ -634,4 +660,128 @@ TEST(RouterOverTcp, DeadShardGroupIsRescuedOntoTheSurvivingReplica) {
     EXPECT_EQ(stats.unavailable, 0u);
     const router::ShardHealth& dead = stats.shards[0];
     EXPECT_TRUE(dead.ejected || dead.consecutive_failures > 0);
+}
+
+namespace {
+
+/// The ends of a two-shard rendezvous: each shard reports its batch and
+/// waits (2 s at most) until the other has reported one too.
+struct Rendezvous {
+    util::Mutex lock;
+    util::CondVar cv;
+    int arrived GUARDED_BY(lock) = 0;
+
+    /// True when both batches arrived before the timeout.
+    bool arrive_and_wait() {
+        util::LockGuard guard{lock};
+        ++arrived;
+        cv.notify_all();
+        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds{2};
+        while (arrived < 2) {
+            if (cv.wait_until(guard, deadline) == std::cv_status::timeout) break;
+        }
+        return arrived >= 2;
+    }
+};
+
+/// A shard scripted by the test: a loopback listener whose one
+/// connection reads a batch frame, meets the other shard at the
+/// rendezvous, then answers every sub-request with its own name.
+struct ScriptedShard {
+    int listen_fd = -1;
+    std::uint16_t port = 0;
+    std::string name;
+    bool saw_both = false;
+    std::size_t batch_size = 0;
+    std::thread thread;
+
+    explicit ScriptedShard(std::string shard_name) : name{std::move(shard_name)} {
+        listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+        sockaddr_in addr{};
+        addr.sin_family = AF_INET;
+        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        EXPECT_EQ(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+        EXPECT_EQ(::listen(listen_fd, 4), 0);
+        socklen_t len = sizeof addr;
+        EXPECT_EQ(::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+        port = ntohs(addr.sin_port);
+    }
+    ~ScriptedShard() {
+        if (thread.joinable()) thread.join();
+        ::close(listen_fd);
+    }
+
+    void serve(Rendezvous& rendezvous) {
+        thread = std::thread{[this, &rendezvous] {
+            const int fd = ::accept(listen_fd, nullptr, nullptr);
+            ASSERT_GE(fd, 0);
+            const auto frame = service::protocol::read_frame(fd);
+            ASSERT_TRUE(frame.has_value());
+            const auto batch = service::protocol::parse_batch(*frame);
+            ASSERT_TRUE(batch.has_value());
+            batch_size = batch->size();
+            saw_both = rendezvous.arrive_and_wait();
+            for (const Request& request : *batch) {
+                Response response;
+                response.payload = name;
+                response.tag = request.tag;
+                EXPECT_TRUE(service::protocol::write_frame(fd, response.encode()));
+            }
+            ::close(fd);
+        }};
+    }
+};
+
+}  // namespace
+
+TEST(RouterOverTcp, ScattersEveryShardGroupBeforeGathering) {
+    ScriptedShard s0{"s0"};
+    ScriptedShard s1{"s1"};
+    const std::vector<ShardEndpoint> endpoints{{"s0", "127.0.0.1", s0.port},
+                                               {"s1", "127.0.0.1", s1.port}};
+    RouterConfig cfg;
+    cfg.probe_interval = std::chrono::milliseconds{0};
+    cfg.backoff_base = std::chrono::milliseconds{0};
+    router::TcpTransport transport;
+    Router router{FleetMap{endpoints, cfg.fleet}, transport, cfg};
+
+    // Two queries per shard, interleaved, so the batch has two groups.
+    std::vector<Request> batch;
+    std::vector<std::string> primary;
+    std::size_t per_shard[2] = {0, 0};
+    for (std::uint64_t seed = 1; per_shard[0] < 2 || per_shard[1] < 2; ++seed) {
+        Request req = query();
+        req.seed = seed;
+        req.tag = seed;
+        const std::size_t shard =
+            router.fleet().primary(service::protocol::route_key(req));
+        if (per_shard[shard] == 2) continue;
+        ++per_shard[shard];
+        primary.push_back(endpoints[shard].name);
+        batch.push_back(std::move(req));
+    }
+
+    Rendezvous rendezvous;
+    s0.serve(rendezvous);
+    s1.serve(rendezvous);
+    const std::vector<Response> responses = router.handle_batch(batch);
+    s0.thread.join();
+    s1.thread.join();
+
+    // Sending one group and waiting on its reply before sending the next
+    // leaves the first shard alone at the rendezvous until it times out.
+    EXPECT_TRUE(s0.saw_both);
+    EXPECT_TRUE(s1.saw_both);
+    EXPECT_EQ(s0.batch_size, 2u);
+    EXPECT_EQ(s1.batch_size, 2u);
+    ASSERT_EQ(responses.size(), batch.size());
+    for (std::size_t i = 0; i < responses.size(); ++i) {
+        ASSERT_TRUE(responses[i].ok()) << i << ": " << responses[i].payload;
+        EXPECT_EQ(responses[i].payload, primary[i]);
+        EXPECT_EQ(responses[i].tag, batch[i].tag);
+    }
+    const auto stats = router.stats();
+    EXPECT_EQ(stats.queries, batch.size());
+    EXPECT_EQ(stats.forwarded, batch.size());
+    EXPECT_EQ(stats.failovers, 0u);
 }

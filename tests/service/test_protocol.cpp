@@ -1,12 +1,14 @@
 // Wire protocol: encode/parse round trips, malformed-input rejection, and
-// frame I/O over a real pipe.
+// frame I/O over real pipes and socketpairs.
 #include "service/protocol.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -437,8 +439,8 @@ TEST(ProtocolTest, BatchRejectsTrailingBytesAndBadSubRequest) {
 
 namespace {
 
-/// A connected stream pair: `client` drives call_batch_over_fd, `server`
-/// is scripted by the test.
+/// A connected stream pair: `client` drives send_batch/receive_batch,
+/// `server` is scripted by the test.
 struct StreamPair {
     int client = -1;
     int server = -1;
@@ -481,7 +483,8 @@ TEST(ProtocolTest, CallBatchReordersTaggedResponses) {
         }
     }};
 
-    const auto responses = call_batch_over_fd(fds.client, requests);
+    FrameReader reader{fds.client};
+    const auto responses = receive_batch(reader, send_batch(fds.client, requests));
     server.join();
     ASSERT_EQ(responses.size(), 3u);
     for (std::size_t i = 0; i < responses.size(); ++i) {
@@ -498,7 +501,177 @@ TEST(ProtocolTest, CallBatchRejectsDuplicateCallerTags) {
     std::vector<Request> requests(2);
     requests[0].tag = 5;
     requests[1].tag = 5;
-    EXPECT_THROW({ (void)call_batch_over_fd(fds.client, requests); }, std::runtime_error);
+    EXPECT_THROW({ (void)send_batch(fds.client, requests); }, std::runtime_error);
+}
+
+TEST(ProtocolTest, SendBatchTagsAroundCallerTags) {
+    StreamPair fds;
+    std::vector<Request> requests(4);
+    requests[1].tag = 1;  // untagged requests must step around 1 and 3
+    requests[2].tag = 3;
+    const PendingBatch batch = send_batch(fds.client, requests);
+    const auto frame = read_frame(fds.server);
+    ASSERT_TRUE(frame.has_value());
+    const auto wire = parse_batch(*frame);
+    ASSERT_TRUE(wire.has_value());
+    ASSERT_EQ(wire->size(), 4u);
+    EXPECT_EQ((*wire)[0].tag, 2u);
+    EXPECT_EQ((*wire)[1].tag, 1u);
+    EXPECT_EQ((*wire)[2].tag, 3u);
+    EXPECT_EQ((*wire)[3].tag, 4u);
+    ASSERT_EQ(batch.slots.size(), 4u);
+    for (std::size_t i = 1; i < batch.slots.size(); ++i) {
+        EXPECT_LT(batch.slots[i - 1].tag, batch.slots[i].tag);
+    }
+}
+
+TEST(ProtocolTest, EmptyBatchWritesAndReadsNothing) {
+    StreamPair fds;
+    FrameReader reader{fds.client};
+    EXPECT_TRUE(receive_batch(reader, send_batch(fds.client, {})).empty());
+    ::close(fds.client);
+    fds.client = -1;
+    EXPECT_FALSE(read_frame(fds.server).has_value());  // clean EOF, no frame
+}
+
+namespace {
+
+/// Two encoded replies answering tags 1 and 2 in reverse order, as one
+/// byte string.
+std::string two_replies() {
+    std::string wire;
+    for (const std::uint64_t tag : {2u, 1u}) {
+        Response resp;
+        resp.payload = "reply to " + std::to_string(tag);
+        resp.tag = tag;
+        const std::string body = resp.encode();
+        const auto prefix = frame_prefix(static_cast<std::uint32_t>(body.size()));
+        wire.append(prefix.data(), prefix.size()).append(body);
+    }
+    return wire;
+}
+
+/// Bytes the kernel holds for the next read of `fd`.
+int unread_bytes(int fd) {
+    int n = 0;
+    EXPECT_EQ(::ioctl(fd, FIONREAD, &n), 0);
+    return n;
+}
+
+}  // namespace
+
+TEST(ProtocolTest, ReceiveBatchReassemblesRepliesSplitAtEveryByte) {
+    const std::string wire = two_replies();
+    for (std::size_t split = 0; split <= wire.size(); ++split) {
+        StreamPair fds;
+        FrameReader reader{fds.client};
+        PendingBatch batch = send_batch(fds.client, std::vector<Request>(2));
+        ASSERT_TRUE(read_frame(fds.server).has_value());
+        // The first part lands alone; the rest follows only once the
+        // reader has taken it, so every read ends at `split`.
+        ASSERT_EQ(::write(fds.server, wire.data(), split), static_cast<ssize_t>(split));
+        std::thread rest{[&fds, &wire, split] {
+            while (split > 0 && unread_bytes(fds.client) > 0) std::this_thread::yield();
+            const ssize_t n = ::write(fds.server, wire.data() + split, wire.size() - split);
+            EXPECT_EQ(n, static_cast<ssize_t>(wire.size() - split));
+        }};
+        const auto responses = receive_batch(reader, std::move(batch));
+        rest.join();
+        ASSERT_EQ(responses.size(), 2u) << "split " << split;
+        EXPECT_EQ(responses[0].payload, "reply to 1") << "split " << split;
+        EXPECT_EQ(responses[1].payload, "reply to 2") << "split " << split;
+        EXPECT_EQ(responses[0].tag, 0u);
+        EXPECT_EQ(reader.buffered(), 0u);
+    }
+}
+
+TEST(ProtocolTest, ReceiveBatchRejectsBytesPastTheLastReply) {
+    StreamPair fds;
+    FrameReader reader{fds.client};
+    PendingBatch batch = send_batch(fds.client, std::vector<Request>(2));
+    const std::string wire = two_replies() + "xx";  // one burst, two bytes too many
+    ASSERT_EQ(::write(fds.server, wire.data(), wire.size()),
+              static_cast<ssize_t>(wire.size()));
+    EXPECT_THROW({ (void)receive_batch(reader, std::move(batch)); }, std::runtime_error);
+}
+
+TEST(ProtocolTest, ReceiveBatchRejectsAnUnknownTag) {
+    StreamPair fds;
+    FrameReader reader{fds.client};
+    PendingBatch batch = send_batch(fds.client, std::vector<Request>(1));
+    Response resp;
+    resp.tag = 7;
+    ASSERT_TRUE(write_frame(fds.server, resp.encode()));
+    EXPECT_THROW({ (void)receive_batch(reader, std::move(batch)); }, std::runtime_error);
+}
+
+TEST(ProtocolTest, FrameReaderFailsOnOversizedPrefixTruncationAndEof) {
+    {
+        StreamPair fds;
+        FrameReader reader{fds.client};
+        const char prefix[4] = {static_cast<char>(0xFF), static_cast<char>(0xFF),
+                                static_cast<char>(0xFF), static_cast<char>(0xFF)};
+        ASSERT_EQ(::write(fds.server, prefix, 4), 4);
+        EXPECT_FALSE(reader.next_frame().has_value());
+    }
+    {
+        StreamPair fds;
+        FrameReader reader{fds.client};
+        const char prefix[4] = {0, 0, 0, 100};  // claims 100 bytes, sends 3
+        ASSERT_EQ(::write(fds.server, prefix, 4), 4);
+        ASSERT_EQ(::write(fds.server, "abc", 3), 3);
+        ::close(fds.server);
+        fds.server = -1;
+        EXPECT_FALSE(reader.next_frame().has_value());
+    }
+    {
+        StreamPair fds;
+        FrameReader reader{fds.client};
+        ASSERT_TRUE(write_frame(fds.server, "last"));
+        ::close(fds.server);
+        fds.server = -1;
+        const auto last = reader.next_frame();
+        ASSERT_TRUE(last.has_value());
+        EXPECT_EQ(*last, "last");
+        EXPECT_FALSE(reader.next_frame().has_value());  // clean EOF
+    }
+}
+
+TEST(ProtocolTest, FrameLargerThanTheSocketBufferCrossesIntact) {
+    StreamPair fds;
+    int sndbuf = 0;
+    socklen_t len = sizeof sndbuf;
+    ASSERT_EQ(::getsockopt(fds.server, SOL_SOCKET, SO_SNDBUF, &sndbuf, &len), 0);
+    std::string payload(static_cast<std::size_t>(sndbuf) * 8 + 3, '\0');
+    for (std::size_t i = 0; i < payload.size(); ++i) {
+        payload[i] = static_cast<char>(i * 131 % 251);
+    }
+    std::string received;
+    std::thread reader_thread{[&fds, &received] {
+        FrameReader reader{fds.client};
+        for (int i = 0; i < 2; ++i) {
+            const auto frame = reader.next_frame();
+            ASSERT_TRUE(frame.has_value());
+            received.append(*frame);
+        }
+    }};
+    // sendmsg takes part of the frame per call; write_frame resumes across
+    // the prefix and the payload until all of it is out.
+    EXPECT_TRUE(write_frame(fds.server, payload));
+    EXPECT_TRUE(write_frame(fds.server, "tail"));
+    reader_thread.join();
+    EXPECT_TRUE(received == payload + "tail");
+}
+
+TEST(ProtocolTest, LargeFrameCrossesAPipeThroughWritev) {
+    Pipe pipe;
+    const std::string payload(256u << 10, 'p');  // 4x a default pipe buffer
+    std::optional<std::string> read_back;
+    std::thread reader{[&pipe, &read_back] { read_back = read_frame(pipe.read_fd); }};
+    EXPECT_TRUE(write_frame(pipe.write_fd, payload));
+    reader.join();
+    ASSERT_TRUE(read_back.has_value());
+    EXPECT_TRUE(*read_back == payload);
 }
 
 // --- Trace context header -----------------------------------------------------
@@ -598,7 +771,8 @@ TEST(ProtocolTest, CallBatchForwardsTraceHeaders) {
         ASSERT_TRUE(write_frame(fds.server, resp.encode()));
     }};
 
-    const auto responses = call_batch_over_fd(fds.client, requests);
+    FrameReader reader{fds.client};
+    const auto responses = receive_batch(reader, send_batch(fds.client, requests));
     server.join();
     ASSERT_EQ(responses.size(), 1u);
     EXPECT_EQ(responses[0].payload, "pong");

@@ -54,21 +54,26 @@ const std::unordered_set<std::string_view> kHotBlockingTokens = {
 // Nonblocking recv/sendmsg on O_NONBLOCK fds are the reactor's bread and
 // butter and are deliberately absent; what must never appear on a reactor
 // thread is a call that waits for the *peer*: the blocking frame helpers
-// (read_frame/write_frame loop until a whole frame moved), accept/connect,
-// the legacy readiness muxes, and sleeps.
+// (read_frame/write_frame and FrameReader::next_frame loop until a whole
+// frame moved; round_trip and the send_batch/receive_batch halves of a
+// pipelined call wrap them), accept/connect, the legacy readiness muxes,
+// and sleeps.
 const std::unordered_set<std::string_view> kReactorBlockingTokens = {
-    "read_frame", "write_frame", "accept",      "connect",
-    "poll",       "select",      "sleep_for",   "sleep_until",
-    "usleep",     "nanosleep",   "getline",
+    "read_frame",  "write_frame",   "next_frame", "round_trip",
+    "send_batch",  "receive_batch", "accept",     "connect",
+    "poll",        "select",        "sleep_for",  "sleep_until",
+    "usleep",      "nanosleep",     "getline",
 };
 
 // Deliberately excludes ::shutdown(2): it never blocks, and stop() paths
 // legitimately shut sockets down under the registry lock.
 const std::unordered_set<std::string_view> kLockIoTokens = {
-    "fopen",  "fwrite",   "fread",    "fclose",     "ifstream", "ofstream",
-    "fstream", "read_frame", "write_frame", "accept", "connect", "send",
-    "recv",   "sendto",   "recvfrom", "printf",     "fprintf",  "puts",
-    "cout",   "cerr",     "system",   "popen",      "getline",
+    "fopen",      "fwrite",     "fread",       "fclose",        "ifstream",
+    "ofstream",   "fstream",    "read_frame",  "write_frame",   "next_frame",
+    "round_trip", "send_batch", "receive_batch", "accept",      "connect",
+    "send",       "recv",       "sendto",      "recvfrom",      "printf",
+    "fprintf",    "puts",       "cout",        "cerr",          "system",
+    "popen",      "getline",
 };
 
 // Tokens that start (or re-enter) a lock-held region.
