@@ -13,6 +13,6 @@ int main() {
     }
     std::puts("paper Figure 1: in the default configuration this complexity is\n"
               "not exposed to software; transfers between partitions ride the\n"
-              "queues (see mem/ring and mem/coherency for the latency cost).");
+              "buffered queues.");
     return 0;
 }

@@ -1,5 +1,5 @@
 // Simulated /dev/cpu/*/msr: the only interface through which tool code
-// (perfmon, FTaLaT, cpufreq) touches the machine, mirroring how LIKWID and
+// (perfmon, FTaLaT) touches the machine, mirroring how LIKWID and
 // friends access real hardware. Devices (PCU, RAPL, counters) register
 // read/write handlers per address; package-scoped registers register one
 // handler per CPU range so each socket answers for its own cores.

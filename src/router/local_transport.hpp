@@ -8,9 +8,10 @@
 // TransportError, which is exactly what killing a shard process does to
 // the TCP transport.
 //
-// This matters beyond convenience: the scaling bench measures shard-count
-// speedup on contended hot paths, and syscall time on a loopback socket
-// would otherwise dominate the very contention being measured.
+// This matters beyond convenience: the e2e benchmark's ledger times the
+// router's own cost over this transport (`router.local_overhead_us`, in
+// bench/e2e/src/isolation.cpp), which the syscall time of a loopback
+// socket would otherwise bury.
 #pragma once
 
 #include <atomic>

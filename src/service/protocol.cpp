@@ -473,6 +473,18 @@ std::optional<std::vector<Request>> parse_batch(std::string_view text,
         set_error(error, "trailing bytes after batch");
         return std::nullopt;
     }
+    // Tagged replies are matched to their requests by tag alone.
+    std::vector<std::uint64_t> tags;
+    tags.reserve(out.size());
+    for (const Request& req : out) {
+        if (req.tag != 0) tags.push_back(req.tag);
+    }
+    std::sort(tags.begin(), tags.end());
+    if (const auto repeat = std::adjacent_find(tags.begin(), tags.end());
+        repeat != tags.end()) {
+        set_error(error, "batch repeats tag " + std::to_string(*repeat));
+        return std::nullopt;
+    }
     return out;
 }
 

@@ -39,8 +39,9 @@
 // The server answers a batch with `count` individual response frames, each
 // echoing its sub-request's tag. Tagged responses may arrive in any order
 // (the server flushes completions as they land); untagged requests are
-// answered strictly in request order. A malformed batch is rejected whole
-// with one untagged MalformedRequest.
+// answered strictly in request order. A nonzero tag may appear only once
+// per batch; tag 0 (untagged) may repeat. A malformed batch, a repeated
+// tag included, is rejected whole with one untagged MalformedRequest.
 //
 // `trace` carries the caller's distributed trace context (obs/ctx.hpp):
 // u64 trace id, u64 parent span id, u32 flags; encoders emit 0x-hex ids.
@@ -189,13 +190,14 @@ struct Response {
 [[nodiscard]] bool looks_like_batch(std::string_view text);
 
 /// Encodes many requests into one batch frame (see the header comment for
-/// the wire layout). Caller keeps sub-request tags unique if it wants to
-/// correlate the out-of-order responses.
+/// the wire layout). Nonzero sub-request tags must be unique within the
+/// batch, or parse_batch rejects it; any number may be untagged (0).
 [[nodiscard]] std::string encode_batch(const std::vector<Request>& requests);
 
 /// nullopt (with `error` set) on any structural or sub-request defect:
 /// bad count, count/body mismatch, truncated length prefix, oversized
-/// batch, or an unparseable sub-request. A batch is rejected whole.
+/// batch, an unparseable sub-request, or a nonzero tag that two
+/// sub-requests share. A batch is rejected whole.
 [[nodiscard]] std::optional<std::vector<Request>> parse_batch(
     std::string_view text, std::string* error = nullptr);
 

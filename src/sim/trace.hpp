@@ -8,9 +8,9 @@
 // category/subject interned (they are low-cardinality: "pstate"/"cpu3"
 // style tags), details appended to one grow-by-doubling byte arena. A
 // recorded sample therefore costs no per-record string allocations, and
-// serializers (render, chrome-trace JSON) walk the columns without
-// materializing row objects. `records()`/`filter()` still hand out owning
-// TraceRecord rows for tests and offline analysis.
+// render() walks the columns without materializing row objects.
+// `records()`/`filter()` still hand out owning TraceRecord rows for tests
+// and offline analysis.
 #pragma once
 
 #include <cstdint>

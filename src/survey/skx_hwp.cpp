@@ -28,8 +28,8 @@ struct WindowSample {
     double pkg_watts = 0.0;
 };
 
-/// Mean cpu-0 frequency over the window from APERF/MPERF deltas (the only
-/// reliable frequency observation; see os/cpufreq.hpp), plus socket-0 RAPL
+/// Mean cpu-0 frequency over the window from APERF/MPERF deltas (reliable,
+/// unlike the request register, which echoes the target), plus socket-0 RAPL
 /// package power and the instantaneous uncore clock at the window's end.
 WindowSample measure_window(core::Node& node, util::Time window) {
     const auto a0 = node.msrs().read(0, msr::IA32_APERF);

@@ -97,7 +97,4 @@ struct Workload {
     }
 };
 
-/// The idle pseudo-workload (no runnable thread).
-[[nodiscard]] const Workload& idle();
-
 }  // namespace hsw::workloads

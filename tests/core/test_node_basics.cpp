@@ -61,6 +61,61 @@ TEST(Node, PstateRequestAppliesAtOpportunity) {
     EXPECT_EQ((node.msrs().read(0, msr::IA32_PERF_STATUS) >> 8) & 0xFF, 15u);
 }
 
+TEST(Node, EverySelectableRatioBelowTurboIsGranted) {
+    Node node;
+    node.set_workload(0, &workloads::while_one(), 1);
+    auto pstates = node.sku().selectable_pstates();
+    pstates.pop_back();  // nominal + 1 is the turbo request, not a clock
+    ASSERT_EQ(pstates.front(), node.sku().min_frequency);
+    for (const Frequency f : pstates) {
+        node.set_pstate(0, f);
+        node.run_for(Time::ms(2));
+        EXPECT_DOUBLE_EQ(node.core_frequency(0).as_ghz(), f.as_ghz());
+    }
+}
+
+TEST(Node, RatioAboveNominalRequestsTurbo) {
+    // A request one ratio above nominal is the turbo request: a single
+    // active compute core runs above the 2.5 GHz nominal clock.
+    Node node;
+    node.set_workload(0, &workloads::compute(), 1);
+    node.set_pstate(0, Frequency::from_ratio(node.sku().nominal_frequency.ratio() + 1));
+    node.run_for(Time::ms(2));
+    EXPECT_GT(node.core_frequency(0).as_ghz(), 2.5);
+}
+
+TEST(Node, MinimumRatioRequestHoldsComputeAtMinimum) {
+    Node node;
+    node.set_workload(0, &workloads::compute(), 1);
+    node.set_pstate(0, node.sku().min_frequency);
+    node.run_for(Time::ms(2));
+    EXPECT_DOUBLE_EQ(node.core_frequency(0).as_ghz(), 1.2);
+}
+
+TEST(Node, PerfCtlHoldsTheRequestBeforeTheGrant) {
+    // The FTaLaT pitfall (Section VI-A): right after a request,
+    // IA32_PERF_CTL already holds the target although the hardware has not
+    // switched. Counting cycles over a busy-wait window shows the real clock.
+    Node node;
+    node.set_workload(0, &workloads::while_one(), 1);
+    node.set_pstate(0, Frequency::ghz(1.2));
+    node.run_for(Time::ms(2));
+
+    node.set_pstate(0, Frequency::ghz(2.0));
+    EXPECT_EQ((node.msrs().read(0, msr::IA32_PERF_CTL) >> 8) & 0xFF, 20u);
+    EXPECT_DOUBLE_EQ(node.core_frequency(0).as_ghz(), 1.2);
+
+    const auto cycles_ghz = [&node] {
+        const auto c0 = node.msrs().read(0, msr::IA32_FIXED_CTR1);
+        node.run_for(Time::us(20));
+        return static_cast<double>(node.msrs().read(0, msr::IA32_FIXED_CTR1) - c0) /
+               20e3;
+    };
+    EXPECT_NEAR(cycles_ghz(), 1.2, 0.06);
+    node.run_for(Time::ms(2));
+    EXPECT_NEAR(cycles_ghz(), 2.0, 0.06);
+}
+
 TEST(Node, MperfCountsAtNominalWhileRunning) {
     Node node;
     node.set_workload(0, &workloads::while_one(), 1);

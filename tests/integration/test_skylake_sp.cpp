@@ -6,7 +6,6 @@
 
 #include "core/node.hpp"
 #include "msr/msr_file.hpp"
-#include "os/cpufreq.hpp"
 #include "pcu/hwp.hpp"
 #include "platform/registry.hpp"
 #include "workloads/mixes.hpp"
@@ -45,6 +44,24 @@ TEST(SkylakeSp, HwpMsrSurfaceIsInstalled) {
     EXPECT_EQ(caps.most_efficient, expect.most_efficient);
     EXPECT_EQ(caps.lowest, expect.lowest);
     EXPECT_EQ(node.msrs().read(0, msr::IA32_HWP_STATUS), 0u);
+}
+
+TEST(SkylakeSp, HwpRequestIsOptInAndReadsBack) {
+    core::Node node{skx_config()};
+    ASSERT_TRUE(node.hwp_capable());
+    EXPECT_EQ(node.msrs().read(0, msr::MSR_PM_ENABLE) & 1, 0u)
+        << "HWP is opt-in via MSR_PM_ENABLE";
+
+    // Once enabled, a desired ratio written through the node reads back
+    // from IA32_HWP_REQUEST.
+    node.enable_hwp();
+    ASSERT_EQ(node.msrs().read(0, msr::MSR_PM_ENABLE), 1u);
+    pcu::HwpRequest req;
+    req.desired_ratio = node.sku().nominal_frequency.ratio();
+    node.set_hwp_request(0, req);
+    EXPECT_EQ(pcu::decode_hwp_request(node.msrs().read(0, msr::IA32_HWP_REQUEST))
+                  .desired_ratio,
+              req.desired_ratio);
 }
 
 TEST(SkylakeSp, HwpMsrsFaultOnHaswell) {
@@ -113,22 +130,6 @@ TEST(SkylakeSp, UncoreGrantsAreSplitPerDie) {
     // Haswell-EP keeps the single socket-wide UFS domain.
     core::Node hsw{core::NodeConfig{}};
     EXPECT_TRUE(hsw.socket(0).die_uncore_frequencies().empty());
-}
-
-TEST(SkylakeSp, CpufreqRoutesThroughHwpWhenEnabled) {
-    core::Node node{skx_config()};
-    os::CpufreqPolicy policy{node, 0};
-    EXPECT_FALSE(policy.hwp_active()) << "HWP is opt-in via MSR_PM_ENABLE";
-
-    node.enable_hwp();
-    ASSERT_TRUE(policy.hwp_active());
-
-    const Frequency target = node.sku().nominal_frequency;
-    policy.set_speed(target);
-    const auto req =
-        pcu::decode_hwp_request(node.msrs().read(0, msr::IA32_HWP_REQUEST));
-    EXPECT_EQ(req.desired_ratio, target.ratio());
-    EXPECT_EQ(policy.scaling_cur_freq().ratio(), target.ratio());
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include "power/power_model.hpp"
 #include "power/psu.hpp"
-#include "power/thermal.hpp"
 
 namespace hsw::power {
 namespace {
@@ -10,7 +9,6 @@ namespace {
 using util::Bandwidth;
 using util::Frequency;
 using util::Power;
-using util::Time;
 using util::Voltage;
 
 TEST(PowerModel, GatedCoreConsumesNothing) {
@@ -63,31 +61,6 @@ TEST(PowerModel, DramPowerBackgroundPlusBandwidth) {
     const double busy = dram_power(Bandwidth::gb_per_sec(50)).as_watts();
     EXPECT_GT(idle, 3.0);
     EXPECT_NEAR(busy - idle, 0.35 * 50, 1e-9);
-}
-
-TEST(Thermal, ApproachesSteadyState) {
-    ThermalModel t;
-    const Power load = Power::watts(120);
-    const double target = t.steady_state_celsius(load);
-    for (int i = 0; i < 600; ++i) t.advance(load, Time::sec(1));
-    EXPECT_NEAR(t.temperature_celsius(), target, 0.5);
-}
-
-TEST(Thermal, CoolsBackDown) {
-    ThermalModel t;
-    for (int i = 0; i < 600; ++i) t.advance(Power::watts(120), Time::sec(1));
-    const double hot = t.temperature_celsius();
-    for (int i = 0; i < 600; ++i) t.advance(Power::zero(), Time::sec(1));
-    EXPECT_LT(t.temperature_celsius(), hot);
-    EXPECT_NEAR(t.temperature_celsius(), t.steady_state_celsius(Power::zero()), 0.5);
-}
-
-TEST(Thermal, HotFlagNearTjMax) {
-    ThermalModel t;
-    t.reset(ThermalModel::kTjMax - 1.0);
-    EXPECT_TRUE(t.hot());
-    t.reset(40.0);
-    EXPECT_FALSE(t.hot());
 }
 
 TEST(AcModel, HaswellMatchesPaperQuadratic) {

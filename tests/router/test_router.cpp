@@ -601,6 +601,18 @@ struct TcpFleet {
     }
 };
 
+/// A blocking loopback connection for frames the clients refuse to send.
+int connect_loopback(std::uint16_t port) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
+    return fd;
+}
+
 /// What an unrouted, standalone service answers for `req`.
 std::string standalone_payload(const Request& req) {
     static service::SurveyService reference{[] {
@@ -660,6 +672,47 @@ TEST(RouterOverTcp, DeadShardGroupIsRescuedOntoTheSurvivingReplica) {
     EXPECT_EQ(stats.unavailable, 0u);
     const router::ShardHealth& dead = stats.shards[0];
     EXPECT_TRUE(dead.ejected || dead.consecutive_failures > 0);
+}
+
+TEST(RouterOverTcp, BatchThatRepeatsATagIsMalformedAtTheFrontDoor) {
+    TcpFleet fleet;
+    // Two queries per shard, interleaved; both of shard 0's share a tag.
+    std::vector<Request> window = fleet.batch(2);
+    ASSERT_EQ(window.size(), 4u);
+    window[0].tag = 5;
+    window[1].tag = 6;
+    window[2].tag = 5;
+    window[3].tag = 7;
+
+    const int fd = connect_loopback(fleet.front->port());
+    ASSERT_TRUE(service::protocol::write_frame(fd, service::protocol::encode_batch(window)));
+    const auto reply = service::protocol::read_frame(fd);
+    ASSERT_TRUE(reply.has_value());
+    const auto response = service::protocol::parse_response(*reply);
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->code, ErrorCode::MalformedRequest);
+    EXPECT_EQ(response->tag, 0u);
+    EXPECT_NE(response->payload.find("repeats tag 5"), std::string::npos)
+        << response->payload;
+
+    // One reply for the whole batch: the next frame answers the next request.
+    Request ping;
+    ping.verb = Verb::Ping;
+    ASSERT_TRUE(service::protocol::write_frame(fd, ping.encode()));
+    const auto pong = service::protocol::read_frame(fd);
+    ASSERT_TRUE(pong.has_value());
+    const auto pong_response = service::protocol::parse_response(*pong);
+    ASSERT_TRUE(pong_response.has_value());
+    EXPECT_TRUE(pong_response->ok()) << pong_response->payload;
+    ::close(fd);
+
+    // Nothing was routed, and no healthy shard was charged a failure.
+    const auto stats = fleet.router->stats();
+    EXPECT_EQ(stats.queries, 0u);
+    EXPECT_EQ(stats.forwarded, 0u);
+    for (const router::ShardHealth& shard : stats.shards) {
+        EXPECT_EQ(shard.consecutive_failures, 0u) << shard.name;
+    }
 }
 
 namespace {

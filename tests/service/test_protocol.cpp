@@ -437,6 +437,24 @@ TEST(ProtocolTest, BatchRejectsTrailingBytesAndBadSubRequest) {
     EXPECT_NE(error.find("batch sub-request 0"), std::string::npos);
 }
 
+TEST(ProtocolTest, BatchRejectsARepeatedTagButNotRepeatedUntagged) {
+    Request a;
+    a.verb = Verb::Ping;
+    Request b = a;
+    Request c = a;
+    a.tag = 7;
+    c.tag = 7;
+    std::string error;
+    EXPECT_FALSE(parse_batch(encode_batch({a, b, c}), &error).has_value());
+    EXPECT_EQ(error, "batch repeats tag 7");
+
+    // Untagged (0) sub-requests are answered in order and may repeat.
+    c.tag = 0;
+    const auto parsed = parse_batch(encode_batch({a, b, c}), &error);
+    ASSERT_TRUE(parsed.has_value()) << error;
+    EXPECT_EQ(parsed->size(), 3u);
+}
+
 namespace {
 
 /// A connected stream pair: `client` drives send_batch/receive_batch,

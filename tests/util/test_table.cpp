@@ -1,11 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "util/csv.hpp"
 #include "util/table.hpp"
-
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 
 namespace hsw::util {
 namespace {
@@ -48,32 +43,6 @@ TEST(Table, FmtPrecision) {
     EXPECT_EQ(Table::fmt(3.14159, 2), "3.14");
     EXPECT_EQ(Table::fmt(2.0, 0), "2");
     EXPECT_EQ(Table::fmt(-1.5, 1), "-1.5");
-}
-
-TEST(Csv, EscapesSpecialCharacters) {
-    EXPECT_EQ(CsvWriter::escape("plain"), "plain");
-    EXPECT_EQ(CsvWriter::escape("with,comma"), "\"with,comma\"");
-    EXPECT_EQ(CsvWriter::escape("with\"quote"), "\"with\"\"quote\"");
-    EXPECT_EQ(CsvWriter::escape("with\nnewline"), "\"with\nnewline\"");
-}
-
-TEST(Csv, WritesFile) {
-    const std::string path = ::testing::TempDir() + "hsw_test.csv";
-    {
-        CsvWriter csv{path};
-        csv.write_header({"a", "b"});
-        csv.write_row(std::vector<std::string>{"x,y", "1"});
-        csv.write_row(std::vector<double>{1.5, 2.25});
-    }
-    std::ifstream in{path};
-    std::stringstream ss;
-    ss << in.rdbuf();
-    EXPECT_EQ(ss.str(), "a,b\n\"x,y\",1\n1.5,2.25\n");
-    std::remove(path.c_str());
-}
-
-TEST(Csv, ThrowsOnBadPath) {
-    EXPECT_THROW(CsvWriter{"/nonexistent-dir-xyz/file.csv"}, std::runtime_error);
 }
 
 }  // namespace

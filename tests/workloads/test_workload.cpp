@@ -65,12 +65,6 @@ TEST(Workload, FirestarterAnchorsFromPaper) {
     EXPECT_DOUBLE_EQ(fs.cdyn_ht, 1.0);  // the reference payload
 }
 
-TEST(Workload, IdleIsInert) {
-    const Workload& w = idle();
-    EXPECT_EQ(w.cdyn_at(Time::sec(1), true), 0.0);
-    EXPECT_EQ(w.dram_gbs_per_core, 0.0);
-}
-
 TEST(Workload, ValidationSetHasSixBenchmarks) {
     // Fig. 2 legend: sinus, busy wait, memory, compute, dgemm, sqrt
     // (plus idle, handled separately).
