@@ -17,7 +17,6 @@ std::string_view name(Invariant i) {
         case Invariant::Residency: return "residency";
         case Invariant::MsrAccess: return "msr-access";
         case Invariant::EngineJob: return "engine-job";
-        case Invariant::ServiceAdmission: return "service-admission";
     }
     return "?";
 }

@@ -28,7 +28,6 @@ enum class Invariant {
     Residency,         // C-state residency regressed or exceeds wall time
     MsrAccess,         // unknown MSR, write to read-only, or oversized value
     EngineJob,         // experiment-engine job retried or failed permanently
-    ServiceAdmission,  // survey service rejected a request (overload/deadline)
 };
 
 [[nodiscard]] std::string_view name(Invariant i);

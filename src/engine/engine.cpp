@@ -87,7 +87,7 @@ RunReport run_experiments(const std::vector<Experiment>& experiments,
     RunReport report;
 
     std::optional<ResultCache> cache;
-    if (options.cache_dir) cache.emplace(*options.cache_dir, options.cache_salt);
+    if (options.cache_dir) cache.emplace(*options.cache_dir);
 
     // Flatten every experiment's jobs into one batch. Payload slots are
     // fixed up front so workers write results by position and assembly

@@ -113,7 +113,6 @@ struct RunOptions {
     unsigned jobs = 1;
     /// nullopt disables caching entirely.
     std::optional<std::filesystem::path> cache_dir;
-    std::string cache_salt{kCodeVersion};
     unsigned max_attempts = 2;
     std::chrono::milliseconds retry_deadline{5 * 60 * 1000};
     /// Called after each job resolves (cache hit, success or permanent

@@ -23,6 +23,10 @@ using service::protocol::Request;
 using service::protocol::Response;
 using service::protocol::Verb;
 
+/// Cap on one retry pass's backoff, and the seed of its jitter sequence.
+constexpr std::chrono::milliseconds kBackoffMax{200};
+constexpr std::uint64_t kJitterSeed = 0x5EED;
+
 obs::Counter& queries_counter() {
     static obs::Counter& c =
         obs::counter("hsw_router_queries", "Query verbs routed to the fleet");
@@ -126,12 +130,12 @@ Router::Router(FleetMap map, Transport& transport, RouterConfig cfg)
     : map_{std::move(map)},
       transport_{transport},
       cfg_{cfg},
-      jitter_state_{cfg.jitter_seed} {
+      jitter_state_{kJitterSeed} {
     shards_.reserve(map_.shards().size());
     for (const auto& endpoint : map_.shards()) {
         auto shard = std::make_unique<Shard>();
-        shard->pool = std::make_unique<ConnectionPool>(
-            transport_, endpoint, cfg_.transport, cfg_.max_idle_per_shard);
+        shard->pool =
+            std::make_unique<ConnectionPool>(transport_, endpoint, cfg_.transport);
         shards_.push_back(std::move(shard));
     }
     if (cfg_.probe_interval.count() > 0) {
@@ -204,7 +208,7 @@ bool Router::retriable(ErrorCode code) {
 std::chrono::milliseconds Router::backoff_delay(unsigned pass) {
     const auto base = cfg_.backoff_base.count();
     if (base <= 0) return std::chrono::milliseconds{0};
-    // Deterministic jitter: a splitmix64 walk seeded by cfg_.jitter_seed.
+    // Deterministic jitter: a splitmix64 walk seeded by kJitterSeed.
     // No global RNG, reproducible under test.
     const std::uint64_t draw =
         util::mix64(jitter_state_.fetch_add(0x9E3779B97F4A7C15ULL,
@@ -213,7 +217,7 @@ std::chrono::milliseconds Router::backoff_delay(unsigned pass) {
     const long long jitter = static_cast<long long>(
         draw % static_cast<std::uint64_t>(base));
     const long long capped =
-        std::min<long long>(exp + jitter, cfg_.backoff_max.count());
+        std::min<long long>(exp + jitter, kBackoffMax.count());
     return std::chrono::milliseconds{capped};
 }
 

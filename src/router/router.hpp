@@ -54,18 +54,14 @@ struct RouterConfig {
     TransportOptions transport;
     /// Walks over the replica set before giving up (1 = no retry pass).
     unsigned max_passes = 3;
-    /// Backoff before pass p is base * 2^(p-1) + jitter(0..base), capped.
+    /// Backoff before pass p is base * 2^(p-1) + jitter(0..base), capped
+    /// at 200 ms. The jitter is a fixed-seed sequence (no global RNG).
     std::chrono::milliseconds backoff_base{10};
-    std::chrono::milliseconds backoff_max{200};
-    /// Seed for the deterministic jitter sequence (no global RNG).
-    std::uint64_t jitter_seed = 0x5EED;
     /// Consecutive transport failures before a shard is ejected.
     unsigned eject_after = 3;
     /// Health prober cadence; zero disables the prober thread entirely
     /// (ejected shards then only readmit via a successful routed call).
     std::chrono::milliseconds probe_interval{250};
-    /// Idle upstream connections kept per shard.
-    std::size_t max_idle_per_shard = 8;
 };
 
 /// Point-in-time health of one shard, as stats()/shard_health() report it.

@@ -172,7 +172,7 @@ std::size_t ConnectionPool::idle_count() const {
 
 void ConnectionPool::give_back(std::unique_ptr<Connection> conn) {
     util::LockGuard lock{lock_};
-    if (idle_.size() < max_idle_) idle_.push_back(std::move(conn));
+    if (idle_.size() < kMaxIdle) idle_.push_back(std::move(conn));
     // else: drop, closing in conn's destructor after we release the lock
     // would be nicer, but an over-budget return is rare and close() on a
     // healthy socket does not block.

@@ -84,11 +84,8 @@ public:
 class ConnectionPool {
 public:
     ConnectionPool(Transport& transport, ShardEndpoint endpoint,
-                   TransportOptions options, std::size_t max_idle = 8)
-        : transport_{transport},
-          endpoint_{std::move(endpoint)},
-          options_{options},
-          max_idle_{max_idle} {}
+                   TransportOptions options)
+        : transport_{transport}, endpoint_{std::move(endpoint)}, options_{options} {}
 
     /// RAII checkout. `call()` forwards to the connection and, on
     /// TransportError, marks it unusable (the destructor then closes
@@ -152,7 +149,8 @@ private:
     Transport& transport_;
     ShardEndpoint endpoint_;
     TransportOptions options_;
-    std::size_t max_idle_;
+    /// Idle connections kept; a returned connection beyond them closes.
+    static constexpr std::size_t kMaxIdle = 8;
     mutable util::Mutex lock_;
     std::vector<std::unique_ptr<Connection>> idle_ GUARDED_BY(lock_);
 };

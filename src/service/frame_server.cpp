@@ -54,6 +54,10 @@ constexpr std::size_t kMaxReadPerPass = 256u << 10;
 /// one syscall without building giant arrays for pathological pipelines.
 constexpr int kMaxIov = 32;
 
+/// Response slots pending on one connection before its reads pause; they
+/// resume below half of it.
+constexpr std::size_t kMaxPendingRequests = 2048;
+
 }  // namespace
 
 struct FrameServer::Metrics {
@@ -160,10 +164,6 @@ FrameServer::FrameServer(FrameServerConfig cfg, Handler handler,
       on_drain_{std::move(on_drain)},
       metrics_{std::make_unique<Metrics>(cfg_.metric_prefix)} {
     cfg_.reactor_threads = std::max(1u, cfg_.reactor_threads);
-    if (cfg_.handler_threads == 0) {
-        cfg_.handler_threads = std::clamp(cfg_.max_connections, 4u, 64u);
-    }
-    if (cfg_.max_pending_requests == 0) cfg_.max_pending_requests = 1;
 
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0) throw std::runtime_error{"socket() failed"};
@@ -231,8 +231,9 @@ void FrameServer::start() {
     for (auto& reactor : reactors_) {
         reactor->thread = std::thread{[this, r = reactor.get()] { reactor_loop(*r); }};
     }
-    pool_threads_.reserve(cfg_.handler_threads);
-    for (unsigned i = 0; i < cfg_.handler_threads; ++i) {
+    const unsigned handler_threads = std::clamp(cfg_.max_connections, 4u, 64u);
+    pool_threads_.reserve(handler_threads);
+    for (unsigned i = 0; i < handler_threads; ++i) {
         pool_threads_.emplace_back([this] { handler_loop(); });
     }
     acceptor_ = std::thread{[this] { accept_loop(); }};
@@ -529,7 +530,7 @@ void FrameServer::parse_frames(Reactor& reactor, Conn& conn) {
     flush_ready(reactor, conn);
     // Backpressure: a connection that has pipelined past the cap stops
     // being read until the client drains responses.
-    conn.reads_paused = conn.slots.size() >= cfg_.max_pending_requests ||
+    conn.reads_paused = conn.slots.size() >= kMaxPendingRequests ||
                         conn.out_bytes >= cfg_.max_output_bytes;
     if (conn.fd >= 0) update_interest(reactor, conn);
 }
@@ -697,7 +698,7 @@ void FrameServer::flush_ready(Reactor& reactor, Conn& conn) {
         it = conn.slots.erase(it);
     }
     if (!flush_output(reactor, conn)) return;  // connection died
-    if (conn.reads_paused && conn.slots.size() < cfg_.max_pending_requests / 2 &&
+    if (conn.reads_paused && conn.slots.size() < kMaxPendingRequests / 2 &&
         conn.out_bytes < cfg_.max_output_bytes / 2) {
         conn.reads_paused = false;
     }
@@ -766,7 +767,7 @@ bool FrameServer::flush_output(Reactor& reactor, Conn& conn) {
 
 void FrameServer::on_writable(Reactor& reactor, Conn& conn) {
     if (!flush_output(reactor, conn)) return;
-    if (conn.reads_paused && conn.slots.size() < cfg_.max_pending_requests / 2 &&
+    if (conn.reads_paused && conn.slots.size() < kMaxPendingRequests / 2 &&
         conn.out_bytes < cfg_.max_output_bytes / 2) {
         conn.reads_paused = false;
     }

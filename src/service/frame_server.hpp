@@ -62,17 +62,14 @@ struct FrameServerConfig {
     /// 0 = kernel-assigned ephemeral port (read it back via port()).
     std::uint16_t port = 0;
     /// Concurrent connections; excess connects receive one Overloaded
-    /// response and are closed.
+    /// response and are closed. The handler pool that runs the (possibly
+    /// blocking) Handler has clamp(max_connections, 4, 64) threads.
     unsigned max_connections = 64;
     /// Event-loop threads; clamped to at least 1. Connections are
     /// assigned round-robin at accept and never migrate.
     unsigned reactor_threads = 2;
-    /// Threads that run the (potentially blocking) Handler. 0 = auto:
-    /// scale with max_connections, clamped to [4, 64].
-    unsigned handler_threads = 0;
-    /// Per-connection backpressure: stop reading when this many response
-    /// slots are pending or this many output bytes are unflushed.
-    std::size_t max_pending_requests = 2048;
+    /// Per-connection backpressure: stop reading when 2048 response slots
+    /// are pending or this many output bytes are unflushed.
     std::size_t max_output_bytes = 8u << 20;
     /// Prefix for the front-end's obs metrics: "<prefix>_connections",
     /// "<prefix>_connections_refused", "<prefix>_frames",

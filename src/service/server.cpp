@@ -64,7 +64,6 @@ SurveyServer::SurveyServer(ServerConfig cfg)
     front.port = cfg.port;
     front.max_connections = cfg.max_connections;
     front.reactor_threads = cfg.reactor_threads;
-    front.handler_threads = cfg.handler_threads;
     frontend_ = std::make_unique<FrameServer>(
         std::move(front),
         [svc = service_.get()](const protocol::Request& request) {

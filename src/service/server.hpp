@@ -35,8 +35,6 @@ struct ServerConfig {
     unsigned max_connections = 64;
     /// Reactor event-loop threads (see FrameServerConfig).
     unsigned reactor_threads = 2;
-    /// Handler-pool threads; 0 = auto (see FrameServerConfig).
-    unsigned handler_threads = 0;
     ServiceConfig service;
 };
 

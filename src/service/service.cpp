@@ -77,20 +77,9 @@ int rank(Source s) {
     return 2;
 }
 
-std::string registry_key(const protocol::Request& request) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "seed=0x%016llx;audit=%d;quick=%d",
-                  static_cast<unsigned long long>(request.seed),
-                  static_cast<int>(request.audit), request.quick ? 1 : 0);
-    return buf;
-}
-
-std::vector<engine::Experiment> default_registry(const protocol::Request& request) {
-    engine::SurveyTuning tuning =
-        request.quick ? engine::SurveyTuning::quick() : engine::SurveyTuning{};
-    tuning.seed = request.seed;
-    tuning.audit = request.audit;
-    return engine::survey_experiments(tuning);
+std::vector<engine::Experiment> default_registry(bool quick) {
+    return engine::survey_experiments(quick ? engine::SurveyTuning::quick()
+                                            : engine::SurveyTuning{});
 }
 
 /// One structured access-log line per completed query. Runs on the
@@ -177,7 +166,9 @@ SurveyService::SurveyService(ServiceConfig cfg)
     cfg_.workers = std::max(1u, cfg_.workers);
     if (cfg_.max_queue == 0) cfg_.max_queue = 1;
     if (!cfg_.registry_factory) cfg_.registry_factory = default_registry;
-    if (cfg_.disk_cache_dir) disk_.emplace(*cfg_.disk_cache_dir, cfg_.cache_salt);
+    full_registry_ = cfg_.registry_factory(false);
+    quick_registry_ = cfg_.registry_factory(true);
+    if (cfg_.disk_cache_dir) disk_.emplace(*cfg_.disk_cache_dir);
     workers_.reserve(cfg_.workers);
     for (unsigned i = 0; i < cfg_.workers; ++i) {
         workers_.emplace_back([this] { worker_loop(); });
@@ -240,44 +231,9 @@ bool SurveyService::try_submit(std::function<void()> task) {
     return true;
 }
 
-void SurveyService::note_rejection(ErrorCode code, const std::string& subject,
-                                   const std::string& message, double value,
-                                   double bound) {
-    analysis::Diagnostic d;
-    d.invariant = analysis::Invariant::ServiceAdmission;
-    d.severity = analysis::Severity::Warning;
-    d.subject = subject;
-    d.message = std::string{protocol::name(code)} + ": " + message;
-    d.value = value;
-    d.bound = bound;
-    util::LockGuard lock{diag_lock_};
-    diagnostics_.report(std::move(d));
-}
-
-std::shared_ptr<const SurveyService::Registry> SurveyService::registry_for(
-    const protocol::Request& request) {
-    const std::string key = registry_key(request);
-    {
-        // Fast path: memoized tuples are read under the shared lock, so
-        // concurrent queries never serialize here.
-        util::SharedLockGuard lock{registry_lock_};
-        if (const auto it = registries_.find(key); it != registries_.end()) {
-            return it->second;
-        }
-    }
-    util::ExclusiveLockGuard lock{registry_lock_};
-    if (const auto it = registries_.find(key); it != registries_.end()) {
-        return it->second;  // another writer built it between the locks
-    }
-    auto registry = std::make_shared<Registry>();
-    registry->experiments = cfg_.registry_factory(request);
-    registries_.emplace(key, registry);
-    return registry;
-}
-
 SurveyService::StartedJob SurveyService::start_job(
     const engine::Job& job, std::chrono::steady_clock::time_point deadline,
-    bool has_deadline, std::shared_ptr<const Registry> keepalive) {
+    bool has_deadline) {
     StartedJob started;
     const std::string key = job.spec.hash_hex();
 
@@ -309,19 +265,16 @@ SurveyService::StartedJob SurveyService::start_job(
     auto token = std::make_shared<engine::CancelToken>();
     if (has_deadline) token->set_deadline(deadline);
 
-    // The keepalive pins the registry (and with it `job`) until the task
-    // retires, no matter when the service evicts or the caller gives up.
-    // The submitter's trace context rides along so the compute's span
-    // parents to the request even though it runs on a worker thread.
-    auto task = [this, job_ptr = &job, key, token,
-                 ctx = obs::trace::current_context(),
-                 keepalive = std::move(keepalive)]() {
+    // The task owns its copy of the job, so it outlives a caller that
+    // gives up. The submitter's trace context rides along so the compute's
+    // span parents to the request even though it runs on a worker thread.
+    auto task = [this, job, key, token, ctx = obs::trace::current_context()]() {
         obs::trace::ContextScope trace_scope{ctx};
         obs::trace::Span span{"engine.job", "service"};
         span.set_label(key);
         try {
             engine::JobResult result =
-                engine::run_job(*job_ptr, disk_ ? &*disk_ : nullptr, token.get());
+                engine::run_job(job, disk_ ? &*disk_ : nullptr, token.get());
             const Source source = result.source == engine::JobSource::DiskCache
                                       ? Source::DiskCache
                                       : Source::Computed;
@@ -360,9 +313,6 @@ SurveyService::JobOutcome SurveyService::await_job(
         if (has_deadline) {
             if (ticket.result.wait_until(deadline) == std::future_status::timeout) {
                 rejected_deadline_.fetch_add(1, std::memory_order_relaxed);
-                note_rejection(ErrorCode::DeadlineExceeded, label,
-                               "request deadline elapsed while job in flight", 0.0,
-                               0.0);
                 return JobOutcome{ErrorCode::DeadlineExceeded, Source::Computed, nullptr,
                                   "deadline elapsed while " + label + " in flight"};
             }
@@ -373,14 +323,10 @@ SurveyService::JobOutcome SurveyService::await_job(
         return JobOutcome{ErrorCode::None, value.source, std::move(value.payload), {}};
     } catch (const engine::CancelledError& e) {
         rejected_deadline_.fetch_add(1, std::memory_order_relaxed);
-        note_rejection(ErrorCode::DeadlineExceeded, label, e.what(), 0.0, 0.0);
         return JobOutcome{ErrorCode::DeadlineExceeded, Source::Computed, nullptr,
                           e.what()};
     } catch (const OverloadError& e) {
         rejected_overload_.fetch_add(1, std::memory_order_relaxed);
-        note_rejection(ErrorCode::Overloaded, label, e.what(),
-                       static_cast<double>(cfg_.max_queue),
-                       static_cast<double>(cfg_.max_queue));
         return JobOutcome{ErrorCode::Overloaded, Source::Computed, nullptr, e.what()};
     } catch (const std::exception& e) {
         failed_.fetch_add(1, std::memory_order_relaxed);
@@ -393,8 +339,6 @@ SurveyService::QueryResult SurveyService::query(const protocol::Request& request
 
     if (draining()) {
         rejected_draining_.fetch_add(1, std::memory_order_relaxed);
-        note_rejection(ErrorCode::ShuttingDown, request.experiment,
-                       "service is draining", 0.0, 0.0);
         return QueryResult{ErrorCode::ShuttingDown, Source::Computed, nullptr,
                            "service is draining"};
     }
@@ -413,20 +357,14 @@ SurveyService::QueryResult SurveyService::query(const protocol::Request& request
         return QueryResult{ErrorCode::None, Source::HotCache, std::move(hit), {}};
     }
 
-    std::shared_ptr<const Registry> registry;
-    try {
-        registry = registry_for(request);
-    } catch (const std::exception& e) {
-        failed_.fetch_add(1, std::memory_order_relaxed);
-        return QueryResult{ErrorCode::Internal, Source::Computed, nullptr, e.what()};
-    }
-
+    const std::vector<engine::Experiment>& registry =
+        request.quick ? quick_registry_ : full_registry_;
     const engine::Experiment* experiment =
-        engine::find_experiment(registry->experiments, request.experiment);
+        engine::find_experiment(registry, request.experiment);
     if (!experiment) {
         rejected_unknown_.fetch_add(1, std::memory_order_relaxed);
         std::string known;
-        for (const auto& e : registry->experiments) {
+        for (const auto& e : registry) {
             if (!known.empty()) known += ' ';
             known += e.name;
         }
@@ -435,25 +373,27 @@ SurveyService::QueryResult SurveyService::query(const protocol::Request& request
                                "'; registered: " + known};
     }
 
-    std::vector<const engine::Job*> jobs;
-    if (request.point == "*") {
-        for (const auto& job : experiment->jobs) jobs.push_back(&job);
-    } else {
+    // Each resolved job is a copy carrying the request's seed and audit;
+    // everything else in its spec comes from the shared registry.
+    std::vector<engine::Job> jobs;
+    for (const auto& job : experiment->jobs) {
+        if (request.point != "*" && job.spec.point != request.point) continue;
+        engine::Job& resolved = jobs.emplace_back(job);
+        resolved.spec.base_seed = request.seed;
+        resolved.spec.audit = request.audit;
+        // Points are unique within an experiment; first match wins.
+        if (request.point != "*") break;
+    }
+    if (request.point != "*" && jobs.empty()) {
+        rejected_unknown_.fetch_add(1, std::memory_order_relaxed);
+        std::string known;
         for (const auto& job : experiment->jobs) {
-            // Points are unique within an experiment; first match wins.
-            if (job.spec.point == request.point && jobs.empty()) jobs.push_back(&job);
+            if (!known.empty()) known += ' ';
+            known += job.spec.point;
         }
-        if (jobs.empty()) {
-            rejected_unknown_.fetch_add(1, std::memory_order_relaxed);
-            std::string known;
-            for (const auto& job : experiment->jobs) {
-                if (!known.empty()) known += ' ';
-                known += job.spec.point;
-            }
-            return QueryResult{ErrorCode::UnknownPoint, Source::Computed, nullptr,
-                               "experiment " + request.experiment + " has no point '" +
-                                   request.point + "'; points: " + known};
-        }
+        return QueryResult{ErrorCode::UnknownPoint, Source::Computed, nullptr,
+                           "experiment " + request.experiment + " has no point '" +
+                               request.point + "'; points: " + known};
     }
 
     const std::chrono::milliseconds deadline_ms =
@@ -467,8 +407,8 @@ SurveyService::QueryResult SurveyService::query(const protocol::Request& request
     // of running point by point.
     std::vector<StartedJob> started;
     started.reserve(jobs.size());
-    for (const engine::Job* job : jobs) {
-        started.push_back(start_job(*job, deadline, has_deadline, registry));
+    for (const engine::Job& job : jobs) {
+        started.push_back(start_job(job, deadline, has_deadline));
     }
 
     // Phase 2: collect in experiment order.
@@ -486,9 +426,8 @@ SurveyService::QueryResult SurveyService::query(const protocol::Request& request
             obs::trace::Span span{
                 started[i].ticket.leader ? "engine.await" : "coalesce",
                 "service"};
-            span.set_label(jobs[i]->spec.hash_hex());
-            outcome =
-                await_job(*jobs[i], started[i].ticket, deadline, has_deadline);
+            span.set_label(jobs[i].spec.hash_hex());
+            outcome = await_job(jobs[i], started[i].ticket, deadline, has_deadline);
         }
         if (!outcome.payload && outcome.code == ErrorCode::None) {
             outcome.code = ErrorCode::Internal;
@@ -678,11 +617,6 @@ ServiceStats SurveyService::stats() const {
     s.hot_cache = hot_.stats();
     if (disk_) s.disk_cache = disk_->counters();
     return s;
-}
-
-std::vector<analysis::Diagnostic> SurveyService::admission_diagnostics() const {
-    util::LockGuard lock{diag_lock_};
-    return diagnostics_.diagnostics();
 }
 
 }  // namespace hsw::service

@@ -1,8 +1,12 @@
 // SurveyService: the long-lived, concurrent front of the experiment engine.
 //
 // A query names a registered experiment (plus sweep point, seed, audit
-// mode) and resolves to engine jobs by spec content hash. Three production
-// mechanisms sit between the caller and the deterministic engine:
+// mode) and resolves to engine jobs by spec content hash. The service
+// builds two experiment registries, full and quick tuning, once at
+// construction; a query copies each job it resolves and sets the copy's
+// seed and audit from the request, so no client can grow the registry.
+// Three production mechanisms sit between the caller and the
+// deterministic engine:
 //
 //   1. a sharded in-memory LRU hot cache (HotCache) in front of the
 //      on-disk ResultCache -- repeat queries never touch the disk;
@@ -17,8 +21,8 @@
 // Determinism contract: payload bytes served by the service are identical
 // to what `hsw_survey` writes for the same spec -- the service only adds
 // caching and scheduling, never touches result bytes. Rejections are
-// structured (protocol::ErrorCode) and mirrored as ServiceAdmission
-// diagnostics; an overloaded service degrades by refusing, not by hanging.
+// structured (protocol::ErrorCode) and counted in ServiceStats; an
+// overloaded service degrades by refusing, not by hanging.
 #pragma once
 
 #include <atomic>
@@ -27,7 +31,6 @@
 #include <deque>
 #include <filesystem>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>  // std::once_flag
 #include <optional>
@@ -35,7 +38,6 @@
 #include <thread>
 #include <vector>
 
-#include "analysis/diagnostic.hpp"
 #include "engine/result_cache.hpp"
 #include "engine/survey_experiments.hpp"
 #include "service/coalescer.hpp"
@@ -55,16 +57,16 @@ struct ServiceConfig {
     HotCacheConfig hot_cache;
     /// nullopt disables the on-disk layer (hot cache still applies).
     std::optional<std::filesystem::path> disk_cache_dir;
-    std::string cache_salt{engine::kCodeVersion};
     /// Applied when a request carries deadline_ms == 0; zero = no deadline.
     std::chrono::milliseconds default_deadline{0};
-    /// Test seam: builds the experiment registry a request resolves
-    /// against. Defaults to survey_experiments() with the request's
-    /// seed/audit/quick folded into SurveyTuning. Registries are memoized
-    /// per (seed, audit, quick) for the life of the service, so returned
-    /// Job objects must be self-contained.
-    std::function<std::vector<engine::Experiment>(const protocol::Request&)>
-        registry_factory;
+    /// Test seam: builds the experiment registry for one tuning. The
+    /// constructor calls it exactly twice, quick = false and quick = true,
+    /// and keeps both registries for the life of the service. A query
+    /// copies each job it resolves and sets the copy's spec.base_seed and
+    /// spec.audit from the request, so the registry's own seed and audit
+    /// never reach a job. Defaults to survey_experiments() of SurveyTuning{}
+    /// or SurveyTuning::quick().
+    std::function<std::vector<engine::Experiment>(bool quick)> registry_factory;
 };
 
 struct ServiceStats {
@@ -137,14 +139,8 @@ public:
     [[nodiscard]] bool shutdown_requested() const;
 
     [[nodiscard]] ServiceStats stats() const;
-    /// Admission rejections as structured diagnostics (snapshot copy).
-    [[nodiscard]] std::vector<analysis::Diagnostic> admission_diagnostics() const
-        EXCLUDES(diag_lock_);
 
 private:
-    struct Registry {
-        std::vector<engine::Experiment> experiments;
-    };
     struct JobOutcome {
         protocol::ErrorCode code = protocol::ErrorCode::None;
         protocol::Source source = protocol::Source::Computed;
@@ -157,13 +153,11 @@ private:
         RequestCoalescer::Ticket ticket;  // valid when !done
     };
 
-    [[nodiscard]] std::shared_ptr<const Registry> registry_for(
-        const protocol::Request& request) EXCLUDES(registry_lock_);
-    /// Hot-cache probe, coalescer join, and (for leaders) pool submission.
+    /// Hot-cache probe, coalescer join, and (for leaders) pool submission
+    /// of a task that owns its copy of `job`.
     [[nodiscard]] StartedJob start_job(const engine::Job& job,
                                        std::chrono::steady_clock::time_point deadline,
-                                       bool has_deadline,
-                                       std::shared_ptr<const Registry> keepalive);
+                                       bool has_deadline);
     /// Waits out a ticket and maps exceptions to structured codes.
     [[nodiscard]] JobOutcome await_job(const engine::Job& job,
                                        const RequestCoalescer::Ticket& ticket,
@@ -171,20 +165,15 @@ private:
                                        bool has_deadline);
     bool try_submit(std::function<void()> task) EXCLUDES(pool_lock_);
     void worker_loop() EXCLUDES(pool_lock_);
-    void note_rejection(protocol::ErrorCode code, const std::string& subject,
-                        const std::string& message, double value, double bound)
-        EXCLUDES(diag_lock_);
 
     ServiceConfig cfg_;
     HotCache hot_;
     std::optional<engine::ResultCache> disk_;
     RequestCoalescer coalescer_;
 
-    // Reader-writer: every query resolves a registry, but new (seed,
-    // audit, quick) tuples are rare -- reads must not serialize.
-    mutable util::SharedMutex registry_lock_;
-    std::map<std::string, std::shared_ptr<const Registry>> registries_
-        GUARDED_BY(registry_lock_);
+    // Written only by the constructor, so queries read them without a lock.
+    std::vector<engine::Experiment> full_registry_;
+    std::vector<engine::Experiment> quick_registry_;
 
     // Bounded work queue + workers.
     util::Mutex pool_lock_;
@@ -204,10 +193,6 @@ private:
         rejected_deadline_{0}, rejected_unknown_{0}, rejected_draining_{0},
         failed_{0}, hot_hits_{0}, disk_hits_{0}, computed_{0}, coalesced_{0},
         response_hits_{0};
-
-    mutable util::Mutex diag_lock_;
-    // Default-constructed capacity is the 256 this sink always used.
-    analysis::DiagnosticSink diagnostics_ GUARDED_BY(diag_lock_);
 };
 
 }  // namespace hsw::service

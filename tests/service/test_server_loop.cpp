@@ -30,14 +30,13 @@ namespace {
 ServerConfig fast_config() {
     ServerConfig cfg;
     cfg.service.workers = 2;
-    cfg.service.registry_factory = [](const protocol::Request& request) {
+    cfg.service.registry_factory = [](bool /*quick*/) {
         engine::Experiment e;
         e.name = "echo";
         e.description = "one instant point";
         engine::Job job;
         job.spec.experiment = "echo";
         job.spec.point = "all";
-        job.spec.base_seed = request.seed;
         job.run = [](const engine::ExperimentSpec& spec) {
             return "echo seed=" + std::to_string(spec.job_seed());
         };
@@ -202,15 +201,14 @@ ServerConfig slow_and_fast_config() {
     ServerConfig cfg = fast_config();
     const auto echo_factory = cfg.service.registry_factory;
     cfg.service.registry_factory =
-        [echo_factory](const protocol::Request& request) {
-            auto experiments = echo_factory(request);
+        [echo_factory](bool quick) {
+            auto experiments = echo_factory(quick);
             engine::Experiment slow;
             slow.name = "slow";
             slow.description = "one deliberately slow point";
             engine::Job job;
             job.spec.experiment = "slow";
             job.spec.point = "all";
-            job.spec.base_seed = request.seed;
             job.run = [](const engine::ExperimentSpec&) {
                 std::this_thread::sleep_for(std::chrono::milliseconds{200});
                 return std::string{"slow bytes"};

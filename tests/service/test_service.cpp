@@ -69,16 +69,16 @@ struct Gate {
 };
 
 /// Registry with two experiments: "toy" (three instant points) and "slow"
-/// (one point that blocks on `gate` and counts its invocations).
+/// (one point that blocks on `gate` and counts its invocations). Both
+/// tunings get the same registry; the service sets each job's seed.
 struct TestRegistry {
     std::shared_ptr<Gate> gate = std::make_shared<Gate>();
     std::shared_ptr<std::atomic<int>> slow_runs = std::make_shared<std::atomic<int>>(0);
 
-    std::function<std::vector<engine::Experiment>(const protocol::Request&)>
-    factory() const {
+    std::function<std::vector<engine::Experiment>(bool quick)> factory() const {
         auto gate_ref = gate;
         auto runs_ref = slow_runs;
-        return [gate_ref, runs_ref](const protocol::Request& request) {
+        return [gate_ref, runs_ref](bool /*quick*/) {
             std::vector<engine::Experiment> out;
 
             engine::Experiment toy;
@@ -88,7 +88,6 @@ struct TestRegistry {
                 engine::Job job;
                 job.spec.experiment = "toy";
                 job.spec.point = "p" + std::to_string(p);
-                job.spec.base_seed = request.seed;
                 job.run = [](const engine::ExperimentSpec& spec) {
                     return "payload(" + spec.label() + ", seed=" +
                            std::to_string(spec.job_seed()) + ")";
@@ -110,7 +109,6 @@ struct TestRegistry {
             engine::Job job;
             job.spec.experiment = "slow";
             job.spec.point = "all";
-            job.spec.base_seed = request.seed;
             job.run = [gate_ref, runs_ref](const engine::ExperimentSpec& spec) {
                 runs_ref->fetch_add(1);
                 gate_ref->wait();
@@ -129,10 +127,11 @@ struct TestRegistry {
 
 /// The batch engine's answer for one quick-tuning experiment, packed the
 /// way the service packs a whole-experiment response.
-std::string batch_artifacts_blob(const std::string& experiment_name,
-                                 std::uint64_t seed) {
+std::string batch_artifacts_blob(const std::string& experiment_name, std::uint64_t seed,
+                                 analysis::AuditMode audit = analysis::AuditMode::Off) {
     engine::SurveyTuning tuning = engine::SurveyTuning::quick();
     tuning.seed = seed;
+    tuning.audit = audit;
     auto experiments = engine::survey_experiments(tuning);
     const engine::Experiment* e =
         engine::find_experiment(experiments, experiment_name);
@@ -208,6 +207,27 @@ TEST(ServiceDeterminism, ByteIdenticalAcrossClientConcurrency) {
     }
 }
 
+TEST(ServiceDeterminism, RequestSeedAndAuditMatchTheBatchEngine) {
+    // The registry is built with the default seed and audit off; the bytes
+    // must still be those of a batch run tuned with the request's pair.
+    const std::string expected =
+        batch_artifacts_blob("fig4", 7, analysis::AuditMode::Warn);
+    // Each half of the pair moves these bytes, so a job that kept the
+    // registry's seed or audit could not pass.
+    ASSERT_NE(expected, batch_artifacts_blob("fig4", 7));
+    ASSERT_NE(expected, batch_artifacts_blob("fig4", 0xC0FFEE, analysis::AuditMode::Warn));
+    ServiceConfig cfg;
+    cfg.workers = 2;
+    SurveyService svc{cfg};
+
+    protocol::Request req = query_request("fig4");
+    req.seed = 7;
+    req.audit = analysis::AuditMode::Warn;
+    auto result = svc.query(req);
+    ASSERT_TRUE(result.ok()) << result.message;
+    EXPECT_EQ(*result.payload, expected);
+}
+
 TEST(ServiceDeterminism, NamedPointMatchesEngineJobBytes) {
     TestRegistry registry;
     ServiceConfig cfg;
@@ -217,9 +237,9 @@ TEST(ServiceDeterminism, NamedPointMatchesEngineJobBytes) {
     auto result = svc.query(query_request("toy", "p1"));
     ASSERT_TRUE(result.ok()) << result.message;
 
-    // Recompute the same job directly through the engine's entry point.
-    protocol::Request req = query_request("toy", "p1");
-    const auto experiments = registry.factory()(req);
+    // Recompute the same job directly through the engine's entry point;
+    // the request's default seed and audit equal the spec's defaults.
+    const auto experiments = registry.factory()(true);
     const engine::Job& job = experiments.at(0).jobs.at(1);
     EXPECT_EQ(*result.payload, engine::run_job(job).payload);
 }
@@ -289,6 +309,49 @@ TEST(ServiceTest, TinyHotCacheStillServesEveryWaiter) {
     }
 }
 
+// --- Bounded registries ---
+
+TEST(ServiceTest, RegistryIsBuiltOncePerTuningWhateverTheSeedAndAudit) {
+    TestRegistry registry;
+    // Tag each tuning's specs so the two registries hash apart.
+    const auto tagged = [inner = registry.factory()](bool quick) {
+        auto experiments = inner(quick);
+        for (auto& job : experiments.at(0).jobs) {
+            job.spec.set_param("tuning", quick ? "quick" : "full");
+        }
+        return experiments;
+    };
+    int calls = 0;
+    ServiceConfig cfg;
+    cfg.registry_factory = [&calls, tagged](bool quick) {
+        ++calls;
+        return tagged(quick);
+    };
+    SurveyService svc{cfg};
+
+    for (const bool quick : {false, true}) {
+        const engine::Job reference = tagged(quick).at(0).jobs.at(1);
+        for (std::uint64_t seed = 0; seed < 100; ++seed) {
+            for (const auto audit : {analysis::AuditMode::Off, analysis::AuditMode::Warn,
+                                     analysis::AuditMode::Strict}) {
+                protocol::Request req = query_request("toy", "p1");
+                req.quick = quick;
+                req.seed = seed;
+                req.audit = audit;
+                const auto result = svc.query(req);
+                ASSERT_TRUE(result.ok()) << result.message;
+                engine::Job expected = reference;
+                expected.spec.base_seed = seed;
+                expected.spec.audit = audit;
+                ASSERT_EQ(*result.payload, engine::run_job(expected).payload)
+                    << "quick=" << quick << " seed=" << seed;
+            }
+        }
+    }
+    EXPECT_EQ(calls, 2);
+    EXPECT_EQ(svc.stats().computed, 600u);
+}
+
 // --- Admission control ---
 
 TEST(ServiceTest, OverloadRejectsInsteadOfHanging) {
@@ -336,18 +399,6 @@ TEST(ServiceTest, OverloadRejectsInsteadOfHanging) {
     EXPECT_EQ(ok, 2);
     EXPECT_EQ(overloaded, 1);
     EXPECT_EQ(svc.stats().rejected_overload, 1u);
-
-    // The rejection is also mirrored as a ServiceAdmission diagnostic.
-    const auto diags = svc.admission_diagnostics();
-    ASSERT_FALSE(diags.empty());
-    bool found = false;
-    for (const auto& d : diags) {
-        if (d.invariant == analysis::Invariant::ServiceAdmission &&
-            d.message.find("overloaded") != std::string::npos) {
-            found = true;
-        }
-    }
-    EXPECT_TRUE(found);
 }
 
 TEST(ServiceTest, DeadlineExceededIsStructuredAndPrompt) {
@@ -429,14 +480,13 @@ TEST(ServiceTest, UnknownPointListsExperimentPoints) {
 TEST(ServiceTest, JobFailureMapsToInternalWithoutPoisoningRetries) {
     auto fail_once = std::make_shared<std::atomic<bool>>(true);
     ServiceConfig cfg;
-    cfg.registry_factory = [fail_once](const protocol::Request& request) {
+    cfg.registry_factory = [fail_once](bool /*quick*/) {
         engine::Experiment e;
         e.name = "flaky";
         e.description = "fails on the first run only";
         engine::Job job;
         job.spec.experiment = "flaky";
         job.spec.point = "all";
-        job.spec.base_seed = request.seed;
         job.run = [fail_once](const engine::ExperimentSpec&) -> std::string {
             if (fail_once->exchange(false)) throw std::runtime_error{"transient"};
             return "recovered";

@@ -20,7 +20,6 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <optional>
@@ -34,6 +33,7 @@
 #include "router/router.hpp"
 #include "router/server.hpp"
 #include "router/upstream.hpp"
+#include "util/parse.hpp"
 #include "util/port_file.hpp"
 
 using namespace hsw;
@@ -70,14 +70,6 @@ int usage(const char* argv0, int code) {
         "when the shard is reaped.\n",
         argv0, argv0);
     return code;
-}
-
-bool parse_unsigned(const char* text, unsigned long& out, unsigned long max) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(text, &end, 10);
-    if (end == text || *end != '\0' || v > max) return false;
-    out = v;
-    return true;
 }
 
 struct ShardProc {
@@ -152,33 +144,34 @@ pid_t spawn_shard(const std::string& surveyd, const ShardProc& shard,
 }  // namespace
 
 int main(int argc, char** argv) {
-    unsigned long shard_count = 2;
-    unsigned long workers = 2;
-    unsigned long hot_cache_mb = 64;
+    std::uint64_t shard_count = 2;
+    std::uint64_t workers = 2;
+    std::uint64_t hot_cache_mb = 64;
     std::string state_dir = ".hsw-fleet";
     std::string surveyd;
     std::string port_file;
     router::RouterConfig cfg;
     router::RouterServerConfig server_cfg;
-    unsigned long trace_sample_permille = 0;
+    std::uint64_t trace_sample_permille = 0;
     bool access_log = false;
     bool quiet = false;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto value = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-        unsigned long n = 0;
+        std::uint64_t n = 0;
         if (arg == "--help" || arg == "-h") return usage(argv[0], 0);
         if (arg == "--quiet") {
             quiet = true;
         } else if (arg == "--shards") {
             const char* v = value();
-            if (!v || !parse_unsigned(v, shard_count, 64) || shard_count == 0) {
+            if (!v || !util::parse_u64(v, shard_count) || shard_count > 64 ||
+                shard_count == 0) {
                 return usage(argv[0], 2);
             }
         } else if (arg == "--port") {
             const char* v = value();
-            if (!v || !parse_unsigned(v, n, 65535)) return usage(argv[0], 2);
+            if (!v || !util::parse_u64(v, n) || n > 65535) return usage(argv[0], 2);
             server_cfg.port = static_cast<std::uint16_t>(n);
         } else if (arg == "--port-file") {
             const char* v = value();
@@ -190,20 +183,26 @@ int main(int argc, char** argv) {
             server_cfg.bind_address = v;
         } else if (arg == "--replicas") {
             const char* v = value();
-            if (!v || !parse_unsigned(v, n, 64) || n == 0) return usage(argv[0], 2);
+            if (!v || !util::parse_u64(v, n) || n > 64 || n == 0) {
+                return usage(argv[0], 2);
+            }
             cfg.fleet.replicas = static_cast<unsigned>(n);
         } else if (arg == "--vnodes") {
             const char* v = value();
-            if (!v || !parse_unsigned(v, n, 4096) || n == 0) return usage(argv[0], 2);
+            if (!v || !util::parse_u64(v, n) || n > 4096 || n == 0) {
+                return usage(argv[0], 2);
+            }
             cfg.fleet.vnodes = static_cast<unsigned>(n);
         } else if (arg == "--workers") {
             const char* v = value();
-            if (!v || !parse_unsigned(v, workers, 1024) || workers == 0) {
+            if (!v || !util::parse_u64(v, workers) || workers > 1024 || workers == 0) {
                 return usage(argv[0], 2);
             }
         } else if (arg == "--hot-cache-mb") {
             const char* v = value();
-            if (!v || !parse_unsigned(v, hot_cache_mb, 4096)) return usage(argv[0], 2);
+            if (!v || !util::parse_u64(v, hot_cache_mb) || hot_cache_mb > 4096) {
+                return usage(argv[0], 2);
+            }
         } else if (arg == "--state-dir") {
             const char* v = value();
             if (!v) return usage(argv[0], 2);
@@ -214,7 +213,8 @@ int main(int argc, char** argv) {
             surveyd = v;
         } else if (arg == "--trace-sample") {
             const char* v = value();
-            if (!v || !parse_unsigned(v, trace_sample_permille, 1000)) {
+            if (!v || !util::parse_u64(v, trace_sample_permille) ||
+                trace_sample_permille > 1000) {
                 return usage(argv[0], 2);
             }
         } else if (arg == "--access-log") {

@@ -93,14 +93,6 @@ int usage(const char* argv0, int code) {
     return code;
 }
 
-bool parse_unsigned(const char* text, unsigned long& out, unsigned long max) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(text, &end, 10);
-    if (end == text || *end != '\0' || v > max) return false;
-    out = v;
-    return true;
-}
-
 /// Retrying protocol client: reconnects and re-sends on transport errors,
 /// with exponential backoff + deterministic jitter between attempts.
 /// Queries are idempotent (content-addressed results), so re-sending a
@@ -200,11 +192,11 @@ int main(int argc, char** argv) {
     unsigned threads = 4;
     unsigned retries = 0;
     unsigned pipeline = 1;
-    unsigned long requests = 64;
+    std::uint64_t requests = 64;
     double duplicate_ratio = 0.5;
     std::vector<std::string> mix;
     bool trace = false;
-    unsigned long trace_sample_permille = 1000;
+    std::uint64_t trace_sample_permille = 1000;
     std::string trace_out;
 
     service::protocol::Request request;
@@ -213,7 +205,7 @@ int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto value = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-        unsigned long n = 0;
+        std::uint64_t n = 0;
         if (arg == "--help" || arg == "-h") return usage(argv[0], 0);
         if (arg == "--renders") {
             renders = true;
@@ -246,7 +238,9 @@ int main(int argc, char** argv) {
             host = v;
         } else if (arg == "--port") {
             const char* v = value();
-            if (!v || !parse_unsigned(v, n, 65535) || n == 0) return usage(argv[0], 2);
+            if (!v || !util::parse_u64(v, n) || n > 65535 || n == 0) {
+                return usage(argv[0], 2);
+            }
             port = static_cast<std::uint16_t>(n);
         } else if (arg == "--port-file") {
             const char* v = value();
@@ -281,26 +275,29 @@ int main(int argc, char** argv) {
             }
         } else if (arg == "--deadline-ms") {
             const char* v = value();
-            if (!v || !parse_unsigned(v, n, 1u << 30)) return usage(argv[0], 2);
+            if (!v || !util::parse_u64(v, n) || n > (1u << 30)) return usage(argv[0], 2);
             request.deadline_ms = static_cast<std::uint32_t>(n);
         } else if (arg == "--retries") {
             const char* v = value();
-            if (!v || !parse_unsigned(v, n, 100)) return usage(argv[0], 2);
+            if (!v || !util::parse_u64(v, n) || n > 100) return usage(argv[0], 2);
             retries = static_cast<unsigned>(n);
         } else if (arg == "--threads") {
             const char* v = value();
-            if (!v || !parse_unsigned(v, n, 256) || n == 0) return usage(argv[0], 2);
+            if (!v || !util::parse_u64(v, n) || n > 256 || n == 0) {
+                return usage(argv[0], 2);
+            }
             threads = static_cast<unsigned>(n);
         } else if (arg == "--pipeline") {
             const char* v = value();
-            if (!v || !parse_unsigned(v, n, service::protocol::kMaxBatchRequests) ||
-                n == 0) {
+            if (!v || !util::parse_u64(v, n) || n == 0 ||
+                n > service::protocol::kMaxBatchRequests) {
                 return usage(argv[0], 2);
             }
             pipeline = static_cast<unsigned>(n);
         } else if (arg == "--requests") {
             const char* v = value();
-            if (!v || !parse_unsigned(v, requests, 1u << 20) || requests == 0) {
+            if (!v || !util::parse_u64(v, requests) || requests > (1u << 20) ||
+                requests == 0) {
                 return usage(argv[0], 2);
             }
         } else if (arg == "--duplicate-ratio") {
@@ -320,7 +317,8 @@ int main(int argc, char** argv) {
             trace = true;
         } else if (arg == "--trace-sample") {
             const char* v = value();
-            if (!v || !parse_unsigned(v, trace_sample_permille, 1000)) {
+            if (!v || !util::parse_u64(v, trace_sample_permille) ||
+                trace_sample_permille > 1000) {
                 return usage(argv[0], 2);
             }
             trace = true;

@@ -16,7 +16,6 @@
 #include <signal.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -29,6 +28,7 @@
 #include "router/router.hpp"
 #include "router/server.hpp"
 #include "router/upstream.hpp"
+#include "util/parse.hpp"
 #include "util/port_file.hpp"
 
 using namespace hsw;
@@ -67,22 +67,14 @@ int usage(const char* argv0, int code) {
     return code;
 }
 
-bool parse_unsigned(const char* text, unsigned long& out, unsigned long max) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(text, &end, 10);
-    if (end == text || *end != '\0' || v > max) return false;
-    out = v;
-    return true;
-}
-
 // "NAME=HOST:PORT" -> endpoint; nullopt on any malformed piece.
 std::optional<router::ShardEndpoint> parse_shard(const std::string& spec) {
     const auto eq = spec.find('=');
     if (eq == std::string::npos || eq == 0) return std::nullopt;
     const auto colon = spec.rfind(':');
     if (colon == std::string::npos || colon <= eq + 1) return std::nullopt;
-    unsigned long port = 0;
-    if (!parse_unsigned(spec.c_str() + colon + 1, port, 65535) || port == 0) {
+    std::uint64_t port = 0;
+    if (!util::parse_u64(spec.c_str() + colon + 1, port) || port > 65535 || port == 0) {
         return std::nullopt;
     }
     router::ShardEndpoint ep;
@@ -101,14 +93,14 @@ int main(int argc, char** argv) {
     std::string port_file;
     std::string access_log_file;
     std::string flight_dir;
-    unsigned long trace_sample_permille = 0;
-    unsigned long slow_us = 0;
+    std::uint64_t trace_sample_permille = 0;
+    std::uint64_t slow_us = 0;
     bool quiet = false;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto value = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-        unsigned long n = 0;
+        std::uint64_t n = 0;
         if (arg == "--help" || arg == "-h") return usage(argv[0], 0);
         if (arg == "--quiet") {
             quiet = true;
@@ -124,7 +116,7 @@ int main(int argc, char** argv) {
             shards.push_back(std::move(*ep));
         } else if (arg == "--port") {
             const char* v = value();
-            if (!v || !parse_unsigned(v, n, 65535)) return usage(argv[0], 2);
+            if (!v || !util::parse_u64(v, n) || n > 65535) return usage(argv[0], 2);
             server_cfg.port = static_cast<std::uint16_t>(n);
         } else if (arg == "--port-file") {
             const char* v = value();
@@ -136,35 +128,48 @@ int main(int argc, char** argv) {
             server_cfg.bind_address = v;
         } else if (arg == "--replicas") {
             const char* v = value();
-            if (!v || !parse_unsigned(v, n, 64) || n == 0) return usage(argv[0], 2);
+            if (!v || !util::parse_u64(v, n) || n > 64 || n == 0) {
+                return usage(argv[0], 2);
+            }
             cfg.fleet.replicas = static_cast<unsigned>(n);
         } else if (arg == "--vnodes") {
             const char* v = value();
-            if (!v || !parse_unsigned(v, n, 4096) || n == 0) return usage(argv[0], 2);
+            if (!v || !util::parse_u64(v, n) || n > 4096 || n == 0) {
+                return usage(argv[0], 2);
+            }
             cfg.fleet.vnodes = static_cast<unsigned>(n);
         } else if (arg == "--max-passes") {
             const char* v = value();
-            if (!v || !parse_unsigned(v, n, 100) || n == 0) return usage(argv[0], 2);
+            if (!v || !util::parse_u64(v, n) || n > 100 || n == 0) {
+                return usage(argv[0], 2);
+            }
             cfg.max_passes = static_cast<unsigned>(n);
         } else if (arg == "--probe-interval-ms") {
             const char* v = value();
-            if (!v || !parse_unsigned(v, n, 1u << 30)) return usage(argv[0], 2);
+            if (!v || !util::parse_u64(v, n) || n > (1u << 30)) return usage(argv[0], 2);
             cfg.probe_interval = std::chrono::milliseconds{n};
         } else if (arg == "--connect-timeout-ms") {
             const char* v = value();
-            if (!v || !parse_unsigned(v, n, 1u << 30) || n == 0) return usage(argv[0], 2);
+            if (!v || !util::parse_u64(v, n) || n > (1u << 30) || n == 0) {
+                return usage(argv[0], 2);
+            }
             cfg.transport.connect_timeout = std::chrono::milliseconds{n};
         } else if (arg == "--upstream-timeout-ms") {
             const char* v = value();
-            if (!v || !parse_unsigned(v, n, 1u << 30) || n == 0) return usage(argv[0], 2);
+            if (!v || !util::parse_u64(v, n) || n > (1u << 30) || n == 0) {
+                return usage(argv[0], 2);
+            }
             cfg.transport.io_timeout = std::chrono::milliseconds{n};
         } else if (arg == "--max-connections") {
             const char* v = value();
-            if (!v || !parse_unsigned(v, n, 1u << 16) || n == 0) return usage(argv[0], 2);
+            if (!v || !util::parse_u64(v, n) || n > (1u << 16) || n == 0) {
+                return usage(argv[0], 2);
+            }
             server_cfg.max_connections = static_cast<unsigned>(n);
         } else if (arg == "--trace-sample") {
             const char* v = value();
-            if (!v || !parse_unsigned(v, trace_sample_permille, 1000)) {
+            if (!v || !util::parse_u64(v, trace_sample_permille) ||
+                trace_sample_permille > 1000) {
                 return usage(argv[0], 2);
             }
         } else if (arg == "--access-log") {
@@ -173,7 +178,9 @@ int main(int argc, char** argv) {
             access_log_file = v;
         } else if (arg == "--slow-us") {
             const char* v = value();
-            if (!v || !parse_unsigned(v, slow_us, 1ul << 40)) return usage(argv[0], 2);
+            if (!v || !util::parse_u64(v, slow_us) || slow_us > (1ul << 40)) {
+                return usage(argv[0], 2);
+            }
         } else if (arg == "--flight-dir") {
             const char* v = value();
             if (!v) return usage(argv[0], 2);

@@ -7,7 +7,6 @@
 // near-no-op) and writes one CSV per figure/table into csv/. Output bytes
 // are identical for every --jobs value.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -55,14 +54,6 @@ int usage(const char* argv0, int code) {
     return code;
 }
 
-bool parse_unsigned(const char* text, unsigned& out) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(text, &end, 10);
-    if (end == text || *end != '\0' || v == 0 || v > 1u << 20) return false;
-    out = static_cast<unsigned>(v);
-    return true;
-}
-
 std::vector<std::string> split_commas(const std::string& list) {
     std::vector<std::string> out;
     std::size_t start = 0;
@@ -96,6 +87,7 @@ int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto value = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
+        std::uint64_t n = 0;
         if (arg == "--help" || arg == "-h") return usage(argv[0], 0);
         if (arg == "--list") {
             list = true;
@@ -115,10 +107,16 @@ int main(int argc, char** argv) {
             quiet = true;
         } else if (arg == "--jobs") {
             const char* v = value();
-            if (!v || !parse_unsigned(v, options.jobs)) return usage(argv[0], 2);
+            if (!v || !util::parse_u64(v, n) || n > (1u << 20) || n == 0) {
+                return usage(argv[0], 2);
+            }
+            options.jobs = static_cast<unsigned>(n);
         } else if (arg == "--max-attempts") {
             const char* v = value();
-            if (!v || !parse_unsigned(v, options.max_attempts)) return usage(argv[0], 2);
+            if (!v || !util::parse_u64(v, n) || n > (1u << 20) || n == 0) {
+                return usage(argv[0], 2);
+            }
+            options.max_attempts = static_cast<unsigned>(n);
         } else if (arg == "--out") {
             const char* v = value();
             if (!v) return usage(argv[0], 2);

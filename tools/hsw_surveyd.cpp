@@ -15,7 +15,6 @@
 #include <signal.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -24,6 +23,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/server.hpp"
+#include "util/parse.hpp"
 #include "util/port_file.hpp"
 
 using namespace hsw;
@@ -67,14 +67,6 @@ int usage(const char* argv0, int code) {
     return code;
 }
 
-bool parse_unsigned(const char* text, unsigned long& out, unsigned long max) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(text, &end, 10);
-    if (end == text || *end != '\0' || v > max) return false;
-    out = v;
-    return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -85,14 +77,14 @@ int main(int argc, char** argv) {
     std::string access_log_file;
     std::string name;
     std::string flight_dir;
-    unsigned long trace_sample_permille = 0;
-    unsigned long slow_us = 0;
+    std::uint64_t trace_sample_permille = 0;
+    std::uint64_t slow_us = 0;
     bool quiet = false;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto value = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-        unsigned long n = 0;
+        std::uint64_t n = 0;
         if (arg == "--help" || arg == "-h") return usage(argv[0], 0);
         if (arg == "--quiet") {
             quiet = true;
@@ -100,7 +92,7 @@ int main(int argc, char** argv) {
             cfg.service.disk_cache_dir.reset();
         } else if (arg == "--port") {
             const char* v = value();
-            if (!v || !parse_unsigned(v, n, 65535)) return usage(argv[0], 2);
+            if (!v || !util::parse_u64(v, n) || n > 65535) return usage(argv[0], 2);
             cfg.port = static_cast<std::uint16_t>(n);
         } else if (arg == "--port-file") {
             const char* v = value();
@@ -112,15 +104,19 @@ int main(int argc, char** argv) {
             cfg.bind_address = v;
         } else if (arg == "--workers") {
             const char* v = value();
-            if (!v || !parse_unsigned(v, n, 1024) || n == 0) return usage(argv[0], 2);
+            if (!v || !util::parse_u64(v, n) || n > 1024 || n == 0) {
+                return usage(argv[0], 2);
+            }
             cfg.service.workers = static_cast<unsigned>(n);
         } else if (arg == "--queue") {
             const char* v = value();
-            if (!v || !parse_unsigned(v, n, 1u << 20) || n == 0) return usage(argv[0], 2);
+            if (!v || !util::parse_u64(v, n) || n > (1u << 20) || n == 0) {
+                return usage(argv[0], 2);
+            }
             cfg.service.max_queue = n;
         } else if (arg == "--hot-cache-mb") {
             const char* v = value();
-            if (!v || !parse_unsigned(v, n, 4096)) return usage(argv[0], 2);
+            if (!v || !util::parse_u64(v, n) || n > 4096) return usage(argv[0], 2);
             cfg.service.hot_cache.max_bytes = n << 20;
         } else if (arg == "--cache") {
             const char* v = value();
@@ -128,11 +124,13 @@ int main(int argc, char** argv) {
             cfg.service.disk_cache_dir = v;
         } else if (arg == "--max-connections") {
             const char* v = value();
-            if (!v || !parse_unsigned(v, n, 1u << 16) || n == 0) return usage(argv[0], 2);
+            if (!v || !util::parse_u64(v, n) || n > (1u << 16) || n == 0) {
+                return usage(argv[0], 2);
+            }
             cfg.max_connections = static_cast<unsigned>(n);
         } else if (arg == "--deadline-ms") {
             const char* v = value();
-            if (!v || !parse_unsigned(v, n, 1u << 30)) return usage(argv[0], 2);
+            if (!v || !util::parse_u64(v, n) || n > (1u << 30)) return usage(argv[0], 2);
             cfg.service.default_deadline = std::chrono::milliseconds{n};
         } else if (arg == "--trace") {
             const char* v = value();
@@ -140,7 +138,8 @@ int main(int argc, char** argv) {
             trace_file = v;
         } else if (arg == "--trace-sample") {
             const char* v = value();
-            if (!v || !parse_unsigned(v, trace_sample_permille, 1000)) {
+            if (!v || !util::parse_u64(v, trace_sample_permille) ||
+                trace_sample_permille > 1000) {
                 return usage(argv[0], 2);
             }
         } else if (arg == "--access-log") {
@@ -149,7 +148,9 @@ int main(int argc, char** argv) {
             access_log_file = v;
         } else if (arg == "--slow-us") {
             const char* v = value();
-            if (!v || !parse_unsigned(v, slow_us, 1ul << 40)) return usage(argv[0], 2);
+            if (!v || !util::parse_u64(v, slow_us) || slow_us > (1ul << 40)) {
+                return usage(argv[0], 2);
+            }
         } else if (arg == "--name") {
             const char* v = value();
             if (!v) return usage(argv[0], 2);

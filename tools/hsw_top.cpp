@@ -14,16 +14,16 @@
 // aggregated metrics document; without the flag the merged top level
 // renders exactly like a single daemon's.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <chrono>
-#include <fstream>
 #include <optional>
 #include <string>
 #include <thread>
 
 #include "service/server.hpp"
 #include "util/minijson.hpp"
+#include "util/parse.hpp"
+#include "util/port_file.hpp"
 
 using namespace hsw;
 
@@ -49,26 +49,6 @@ int usage(const char* argv0, int code) {
         "                   under \"shards\" (needs an hsw_router target)\n",
         argv0);
     return code;
-}
-
-bool parse_unsigned(const char* text, unsigned long& out, unsigned long max) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(text, &end, 10);
-    if (end == text || *end != '\0' || v > max) return false;
-    out = v;
-    return true;
-}
-
-std::optional<std::uint16_t> read_port_file(const std::string& path) {
-    for (int attempt = 0; attempt < 250; ++attempt) {
-        std::ifstream in{path};
-        unsigned long port = 0;
-        if (in && (in >> port) && port > 0 && port <= 65535) {
-            return static_cast<std::uint16_t>(port);
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds{20});
-    }
-    return std::nullopt;
 }
 
 /// One decoded metrics snapshot; every field defaults to zero so a daemon
@@ -243,15 +223,15 @@ int main(int argc, char** argv) {
     std::string host = "127.0.0.1";
     std::uint16_t port = 0;
     std::string port_file;
-    unsigned long interval_ms = 1000;
-    unsigned long count = 0;  // 0 = forever
+    std::uint64_t interval_ms = 1000;
+    std::uint64_t count = 0;  // 0 = forever
     bool once = false;
     bool fleet = false;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto value = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-        unsigned long n = 0;
+        std::uint64_t n = 0;
         if (arg == "--help" || arg == "-h") return usage(argv[0], 0);
         if (arg == "--once") {
             once = true;
@@ -263,7 +243,9 @@ int main(int argc, char** argv) {
             host = v;
         } else if (arg == "--port") {
             const char* v = value();
-            if (!v || !parse_unsigned(v, n, 65535) || n == 0) return usage(argv[0], 2);
+            if (!v || !util::parse_u64(v, n) || n > 65535 || n == 0) {
+                return usage(argv[0], 2);
+            }
             port = static_cast<std::uint16_t>(n);
         } else if (arg == "--port-file") {
             const char* v = value();
@@ -271,12 +253,13 @@ int main(int argc, char** argv) {
             port_file = v;
         } else if (arg == "--interval-ms") {
             const char* v = value();
-            if (!v || !parse_unsigned(v, interval_ms, 3600'000) || interval_ms == 0) {
+            if (!v || !util::parse_u64(v, interval_ms) || interval_ms > 3600'000 ||
+                interval_ms == 0) {
                 return usage(argv[0], 2);
             }
         } else if (arg == "--count") {
             const char* v = value();
-            if (!v || !parse_unsigned(v, count, 1u << 30) || count == 0) {
+            if (!v || !util::parse_u64(v, count) || count > (1u << 30) || count == 0) {
                 return usage(argv[0], 2);
             }
         } else {
@@ -286,7 +269,7 @@ int main(int argc, char** argv) {
     }
 
     if (!port_file.empty()) {
-        const std::optional<std::uint16_t> p = read_port_file(port_file);
+        const std::optional<std::uint16_t> p = util::read_port_file(port_file);
         if (!p) {
             std::fprintf(stderr, "hsw_top: no port published in %s\n", port_file.c_str());
             return 1;

@@ -12,7 +12,6 @@
 // slowest end-to-end traces is printed so the terminal answers "where did
 // the time go" without a browser.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <optional>
@@ -23,6 +22,7 @@
 #include "obs/flight.hpp"
 #include "obs/trace_merge.hpp"
 #include "service/server.hpp"
+#include "util/parse.hpp"
 #include "util/port_file.hpp"
 
 using namespace hsw;
@@ -70,11 +70,9 @@ std::optional<std::string> pull_trace_dump(const std::string& host_port,
         error = "want HOST:PORT";
         return std::nullopt;
     }
-    char* end = nullptr;
-    const unsigned long port =
-        std::strtoul(host_port.c_str() + colon + 1, &end, 10);
-    if (end == host_port.c_str() + colon + 1 || *end != '\0' || port == 0 ||
-        port > 65535) {
+    std::uint64_t port = 0;
+    if (!util::parse_u64(std::string_view{host_port}.substr(colon + 1), port) ||
+        port == 0 || port > 65535) {
         error = "bad port in '" + host_port + "'";
         return std::nullopt;
     }
@@ -112,7 +110,7 @@ std::optional<std::string> read_file(const std::string& path,
 int main(int argc, char** argv) {
     std::vector<obs::trace_merge::ProcessTrace> traces;
     std::string out_file;
-    unsigned long slowest = 3;
+    std::uint64_t slowest = 3;
     bool summary = true;
 
     for (int i = 1; i < argc; ++i) {
@@ -159,10 +157,9 @@ int main(int argc, char** argv) {
             out_file = v;
         } else if (arg == "--slowest") {
             const char* v = value();
-            char* end = nullptr;
-            if (!v) return usage(argv[0], 2);
-            slowest = std::strtoul(v, &end, 10);
-            if (end == v || *end != '\0' || slowest == 0) return usage(argv[0], 2);
+            if (!v || !util::parse_u64(v, slowest) || slowest == 0) {
+                return usage(argv[0], 2);
+            }
         } else if (arg == "--no-summary") {
             summary = false;
         } else {
