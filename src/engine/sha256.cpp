@@ -1,7 +1,12 @@
 #include "engine/sha256.hpp"
 
 #include <bit>
-#include <cstring>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#include <immintrin.h>
+#define HSW_SHA256_SHA_NI 1
+#endif
 
 namespace hsw::engine {
 
@@ -20,92 +25,205 @@ constexpr std::array<std::uint32_t, 64> kRoundConstants = {
     0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
 
-void compress(std::array<std::uint32_t, 8>& state, const std::uint8_t* block) {
-    std::array<std::uint32_t, 64> w{};
-    for (unsigned i = 0; i < 16; ++i) {
-        w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
-               (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
-               (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
-               static_cast<std::uint32_t>(block[4 * i + 3]);
+void compress_portable(std::uint32_t* state, const std::uint8_t* blocks,
+                       std::size_t count) {
+    for (; count > 0; --count, blocks += 64) {
+        std::array<std::uint32_t, 64> w{};
+        for (unsigned i = 0; i < 16; ++i) {
+            w[i] = (static_cast<std::uint32_t>(blocks[4 * i]) << 24) |
+                   (static_cast<std::uint32_t>(blocks[4 * i + 1]) << 16) |
+                   (static_cast<std::uint32_t>(blocks[4 * i + 2]) << 8) |
+                   static_cast<std::uint32_t>(blocks[4 * i + 3]);
+        }
+        for (unsigned i = 16; i < 64; ++i) {
+            const std::uint32_t s0 =
+                std::rotr(w[i - 15], 7) ^ std::rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+            const std::uint32_t s1 =
+                std::rotr(w[i - 2], 17) ^ std::rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+            w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+        }
+
+        std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+        std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+        for (unsigned i = 0; i < 64; ++i) {
+            const std::uint32_t s1 = std::rotr(e, 6) ^ std::rotr(e, 11) ^ std::rotr(e, 25);
+            const std::uint32_t ch = (e & f) ^ (~e & g);
+            const std::uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
+            const std::uint32_t s0 = std::rotr(a, 2) ^ std::rotr(a, 13) ^ std::rotr(a, 22);
+            const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+            const std::uint32_t temp2 = s0 + maj;
+            h = g;
+            g = f;
+            f = e;
+            e = d + temp1;
+            d = c;
+            c = b;
+            b = a;
+            a = temp1 + temp2;
+        }
+        state[0] += a;
+        state[1] += b;
+        state[2] += c;
+        state[3] += d;
+        state[4] += e;
+        state[5] += f;
+        state[6] += g;
+        state[7] += h;
     }
-    for (unsigned i = 16; i < 64; ++i) {
-        const std::uint32_t s0 =
-            std::rotr(w[i - 15], 7) ^ std::rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-        const std::uint32_t s1 =
-            std::rotr(w[i - 2], 17) ^ std::rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-        w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+}
+
+#if defined(HSW_SHA256_SHA_NI)
+
+// The SHA extensions keep the eight state words as two halves, ABEF and
+// CDGH (highest lane first), and sha256rnds2 runs two rounds on the low
+// two lanes of a message-plus-constant vector.
+__attribute__((target("sha,sse4.1"))) inline void sha_ni_rounds4(
+    __m128i& abef, __m128i& cdgh, __m128i w, const std::uint32_t* k) {
+    const __m128i wk =
+        _mm_add_epi32(w, _mm_loadu_si128(reinterpret_cast<const __m128i*>(k)));
+    // The first call's result is the new ABEF; the old ABEF becomes CDGH.
+    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+    abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+}
+
+__attribute__((target("sha,sse4.1"))) void compress_sha_ni(
+    std::uint32_t* state, const std::uint8_t* blocks, std::size_t count) {
+    // Message words are big-endian; this shuffle swaps each word's bytes.
+    const __m128i byteswap =
+        _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+    const __m128i cdab = _mm_shuffle_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xB1);
+    const __m128i efgh = _mm_shuffle_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
+    __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+    __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+    for (; count > 0; --count, blocks += 64) {
+        const __m128i abef_in = abef;
+        const __m128i cdgh_in = cdgh;
+        const auto* in = reinterpret_cast<const __m128i*>(blocks);
+        __m128i w0 = _mm_shuffle_epi8(_mm_loadu_si128(in), byteswap);
+        __m128i w1 = _mm_shuffle_epi8(_mm_loadu_si128(in + 1), byteswap);
+        __m128i w2 = _mm_shuffle_epi8(_mm_loadu_si128(in + 2), byteswap);
+        __m128i w3 = _mm_shuffle_epi8(_mm_loadu_si128(in + 3), byteswap);
+        // Rounds 0-47; each group of four also schedules the message
+        // words sixteen rounds on: W[t-16] + s0(W[t-15]) (msg1), + W[t-7]
+        // (alignr), + s1(W[t-2]) (msg2).
+        for (std::size_t round = 0; round < 48; round += 4) {
+            sha_ni_rounds4(abef, cdgh, w0, kRoundConstants.data() + round);
+            const __m128i w4 = _mm_sha256msg2_epu32(
+                _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8(w3, w2, 4)),
+                w3);
+            w0 = w1;
+            w1 = w2;
+            w2 = w3;
+            w3 = w4;
+        }
+        sha_ni_rounds4(abef, cdgh, w0, kRoundConstants.data() + 48);
+        sha_ni_rounds4(abef, cdgh, w1, kRoundConstants.data() + 52);
+        sha_ni_rounds4(abef, cdgh, w2, kRoundConstants.data() + 56);
+        sha_ni_rounds4(abef, cdgh, w3, kRoundConstants.data() + 60);
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
     }
 
-    auto [a, b, c, d, e, f, g, h] = state;
-    for (unsigned i = 0; i < 64; ++i) {
-        const std::uint32_t s1 = std::rotr(e, 6) ^ std::rotr(e, 11) ^ std::rotr(e, 25);
-        const std::uint32_t ch = (e & f) ^ (~e & g);
-        const std::uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
-        const std::uint32_t s0 = std::rotr(a, 2) ^ std::rotr(a, 13) ^ std::rotr(a, 22);
-        const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-        const std::uint32_t temp2 = s0 + maj;
-        h = g;
-        g = f;
-        f = e;
-        e = d + temp1;
-        d = c;
-        c = b;
-        b = a;
-        a = temp1 + temp2;
+    const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+    const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(state), _mm_blend_epi16(feba, dchg, 0xF0));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), _mm_alignr_epi8(dchg, feba, 8));
+}
+
+bool cpu_has_sha_ni() {
+    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+    if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0 || (ecx & bit_SSE4_1) == 0) {
+        return false;
     }
-    state[0] += a;
-    state[1] += b;
-    state[2] += c;
-    state[3] += d;
-    state[4] += e;
-    state[5] += f;
-    state[6] += g;
-    state[7] += h;
+    return __get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) != 0 && (ebx & bit_SHA) != 0;
+}
+
+#endif  // HSW_SHA256_SHA_NI
+
+struct Kernel {
+    decltype(&compress_portable) compress;
+    std::string_view name;
+};
+
+const Kernel& dispatched_kernel() {
+    static const Kernel kernel = [] {
+#if defined(HSW_SHA256_SHA_NI)
+        if (cpu_has_sha_ni()) return Kernel{compress_sha_ni, "sha-ni"};
+#endif
+        return Kernel{compress_portable, "portable"};
+    }();
+    return kernel;
 }
 
 }  // namespace
 
-Sha256Digest sha256(std::string_view data) {
-    std::array<std::uint32_t, 8> state = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-                                          0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+Sha256::Sha256() : compress_{dispatched_kernel().compress} {}
 
+Sha256& Sha256::update_blocks(std::string_view data) {
+    // Called with at least enough bytes to fill the pending block.
     const auto* bytes = reinterpret_cast<const std::uint8_t*>(data.data());
-    std::size_t remaining = data.size();
-    while (remaining >= 64) {
-        compress(state, bytes);
-        bytes += 64;
-        remaining -= 64;
+    std::size_t size = data.size();
+    if (pending_ > 0) {
+        const std::size_t fill = kBlockBytes - pending_;
+        std::memcpy(block_.data() + pending_, bytes, fill);
+        compress_(state_.data(), block_.data(), 1);
+        compressed_ += kBlockBytes;
+        bytes += fill;
+        size -= fill;
     }
+    const std::size_t whole = size / kBlockBytes;
+    if (whole > 0) {
+        compress_(state_.data(), bytes, whole);
+        compressed_ += whole * kBlockBytes;
+        bytes += whole * kBlockBytes;
+        size -= whole * kBlockBytes;
+    }
+    if (size > 0) std::memcpy(block_.data(), bytes, size);
+    pending_ = size;
+    return *this;
+}
 
+Sha256Digest Sha256::final() {
     // Final block(s): message tail, 0x80, zero padding, 64-bit bit length.
-    std::array<std::uint8_t, 128> tail{};
-    std::memcpy(tail.data(), bytes, remaining);
-    tail[remaining] = 0x80;
-    const std::size_t tail_blocks = remaining + 1 + 8 <= 64 ? 1 : 2;
-    const std::uint64_t bit_length = static_cast<std::uint64_t>(data.size()) * 8;
+    std::array<std::uint8_t, 2 * kBlockBytes> tail{};
+    std::memcpy(tail.data(), block_.data(), pending_);
+    tail[pending_] = 0x80;
+    const std::size_t tail_blocks = pending_ + 1 + 8 <= kBlockBytes ? 1 : 2;
+    const std::uint64_t bit_length = (compressed_ + pending_) * 8;
     for (unsigned i = 0; i < 8; ++i) {
-        tail[tail_blocks * 64 - 1 - i] = static_cast<std::uint8_t>(bit_length >> (8 * i));
+        tail[tail_blocks * kBlockBytes - 1 - i] =
+            static_cast<std::uint8_t>(bit_length >> (8 * i));
     }
-    compress(state, tail.data());
-    if (tail_blocks == 2) compress(state, tail.data() + 64);
+    compress_(state_.data(), tail.data(), tail_blocks);
 
     Sha256Digest digest{};
     for (unsigned i = 0; i < 8; ++i) {
-        digest[4 * i] = static_cast<std::uint8_t>(state[i] >> 24);
-        digest[4 * i + 1] = static_cast<std::uint8_t>(state[i] >> 16);
-        digest[4 * i + 2] = static_cast<std::uint8_t>(state[i] >> 8);
-        digest[4 * i + 3] = static_cast<std::uint8_t>(state[i]);
+        digest[4 * i] = static_cast<std::uint8_t>(state_[i] >> 24);
+        digest[4 * i + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
+        digest[4 * i + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
+        digest[4 * i + 3] = static_cast<std::uint8_t>(state_[i]);
     }
     return digest;
 }
 
+Sha256Digest sha256(std::string_view data) { return Sha256{}.update(data).final(); }
+
+Sha256Digest sha256_portable(std::string_view data) {
+    return Sha256{compress_portable}.update(data).final();
+}
+
+std::string_view sha256_kernel() { return dispatched_kernel().name; }
+
 std::string hex(const Sha256Digest& digest) {
     static constexpr char kHex[] = "0123456789abcdef";
-    std::string out;
-    out.reserve(64);
+    std::string out(2 * digest.size(), '\0');
+    char* p = out.data();
     for (const std::uint8_t b : digest) {
-        out.push_back(kHex[b >> 4]);
-        out.push_back(kHex[b & 0xF]);
+        *p++ = kHex[b >> 4];
+        *p++ = kHex[b & 0xF];
     }
     return out;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
 #include <optional>
 #include <utility>
 
@@ -189,7 +188,8 @@ Response Router::handle(const Request& request) {
             return response;
         }
         case Verb::Query:
-            return route_query(request, std::chrono::steady_clock::now());
+            return route_query(request, std::chrono::steady_clock::now(),
+                               service::protocol::route_key(request));
     }
     response.code = ErrorCode::MalformedRequest;
     response.payload = "unhandled verb";
@@ -243,7 +243,8 @@ void Router::note_failure(Shard& shard) {
 }
 
 Response Router::route_query(const Request& request,
-                             std::chrono::steady_clock::time_point start) {
+                             std::chrono::steady_clock::time_point start,
+                             std::string_view key) {
     queries_counter().inc();
     queries_.fetch_add(1, std::memory_order_relaxed);
     // The frame server installs the request's trace context before its
@@ -258,7 +259,6 @@ Response Router::route_query(const Request& request,
     obs::trace::Span span{"router.route", "router"};
     span.set_label(request.experiment + "/" + request.point);
 
-    const std::string key = service::protocol::route_key(request);
     const std::vector<std::size_t> replicas = map_.replica_set(key);
 
     Response last_error;
@@ -384,8 +384,10 @@ std::vector<Response> Router::handle_batch(const std::vector<Request>& requests)
     // Group query sub-requests by the shard that would serve them today:
     // the first live replica of each route key (or the primary when the
     // whole replica set is ejected -- same "try anyway" rule as
-    // route_query). Everything else answers locally.
-    std::map<std::size_t, std::vector<std::size_t>> by_shard;
+    // route_query). Everything else answers locally. Each key is hashed
+    // once; a rescue reuses it.
+    std::vector<std::string> keys(requests.size());
+    std::vector<std::vector<std::size_t>> by_shard(shards_.size());
     for (std::size_t i = 0; i < requests.size(); ++i) {
         const Request& request = requests[i];
         if (request.verb != Verb::Query) {
@@ -393,8 +395,8 @@ std::vector<Response> Router::handle_batch(const std::vector<Request>& requests)
             responses[i].tag = request.tag;
             continue;
         }
-        const std::vector<std::size_t> replicas =
-            map_.replica_set(service::protocol::route_key(request));
+        keys[i] = service::protocol::route_key(request);
+        const std::vector<std::size_t> replicas = map_.replica_set(keys[i]);
         std::size_t target = replicas.front();
         for (const std::size_t idx : replicas) {
             if (!shards_[idx]->ejected.load(std::memory_order_acquire)) {
@@ -408,9 +410,10 @@ std::vector<Response> Router::handle_batch(const std::vector<Request>& requests)
     // Scatter: every group goes out before any reply is read, so the
     // shards work at once and a batch costs one upstream round trip, not
     // one per shard.
-    std::vector<std::optional<ConnectionPool::Lease>> leases;
-    leases.reserve(by_shard.size());
-    for (const auto& [shard_index, indices] : by_shard) {
+    std::vector<std::optional<ConnectionPool::Lease>> leases(shards_.size());
+    for (std::size_t shard_index = 0; shard_index < by_shard.size(); ++shard_index) {
+        const std::vector<std::size_t>& indices = by_shard[shard_index];
+        if (indices.empty()) continue;
         Shard& shard = *shards_[shard_index];
         std::vector<Request> group;
         group.reserve(indices.size());
@@ -420,7 +423,7 @@ std::vector<Response> Router::handle_batch(const std::vector<Request>& requests)
         forwarded_.fetch_add(group.size(), std::memory_order_relaxed);
         attempts_counter().inc(group.size());
 
-        std::optional<ConnectionPool::Lease>& lease = leases.emplace_back();
+        std::optional<ConnectionPool::Lease>& lease = leases[shard_index];
         try {
             lease.emplace(shard.pool->acquire());
             lease->send_batch(std::move(group));
@@ -433,13 +436,15 @@ std::vector<Response> Router::handle_batch(const std::vector<Request>& requests)
     // Gather every group, so each lease goes back to the pool before a
     // rescue needs a connection.
     std::vector<std::size_t> rescue;
-    auto lease = leases.begin();
-    for (const auto& [shard_index, indices] : by_shard) {
+    for (std::size_t shard_index = 0; shard_index < by_shard.size(); ++shard_index) {
+        const std::vector<std::size_t>& indices = by_shard[shard_index];
+        if (indices.empty()) continue;
         Shard& shard = *shards_[shard_index];
+        std::optional<ConnectionPool::Lease>& lease = leases[shard_index];
         bool delivered = false;
-        if (*lease) {
+        if (lease) {
             try {
-                std::vector<Response> group_responses = (*lease)->receive_batch();
+                std::vector<Response> group_responses = lease->receive_batch();
                 note_success(shard);
                 for (std::size_t j = 0; j < indices.size(); ++j) {
                     responses[indices[j]] = std::move(group_responses[j]);
@@ -448,9 +453,8 @@ std::vector<Response> Router::handle_batch(const std::vector<Request>& requests)
             } catch (const TransportError&) {
                 note_failure(shard);
             }
-            lease->reset();
+            lease.reset();
         }
-        ++lease;
         for (const std::size_t idx : indices) {
             if (!delivered || retriable(responses[idx].code)) rescue.push_back(idx);
         }
@@ -460,7 +464,7 @@ std::vector<Response> Router::handle_batch(const std::vector<Request>& requests)
     // elsewhere. route_query owns failover, backoff, and the Unavailable
     // verdict, within what the batch left of the deadline budget.
     for (const std::size_t idx : rescue) {
-        responses[idx] = route_query(requests[idx], start);
+        responses[idx] = route_query(requests[idx], start, keys[idx]);
         responses[idx].tag = requests[idx].tag;
     }
     return responses;

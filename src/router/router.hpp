@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -140,10 +141,11 @@ private:
         std::unique_ptr<ConnectionPool> pool;
     };
 
-    /// Routes one query; its deadline budget counts from `start`.
+    /// Routes one query whose route_key is `key`; its deadline budget
+    /// counts from `start`.
     [[nodiscard]] service::protocol::Response route_query(
         const service::protocol::Request& request,
-        std::chrono::steady_clock::time_point start);
+        std::chrono::steady_clock::time_point start, std::string_view key);
     [[nodiscard]] service::protocol::Response aggregate_metrics(
         service::protocol::MetricsFormat format);
     /// True when the response code should be answered by another replica.

@@ -131,6 +131,14 @@ struct FrameServer::Conn {
     bool shutdown_pending = false;  // flushed a shutdown response
 };
 
+/// One handler thread's wake slot: the condition variable it sleeps on
+/// while idle, and the task submit() leaves for it. `task` is touched only
+/// under pool_lock_.
+struct FrameServer::WakeSlot {
+    util::CondVar cv;
+    std::function<void()> task;
+};
+
 /// One event-loop thread: an epoll set, an eventfd wakeup, and a locked
 /// inbox for the two cross-thread messages (new connection, slot
 /// completion). Everything else is owned by the reactor thread alone.
@@ -232,9 +240,20 @@ void FrameServer::start() {
         reactor->thread = std::thread{[this, r = reactor.get()] { reactor_loop(*r); }};
     }
     const unsigned handler_threads = std::clamp(cfg_.max_connections, 4u, 64u);
-    pool_threads_.reserve(handler_threads);
+    // Everything an idle thread touches exists before the first one runs:
+    // a thread that allocates gets a malloc arena of its own, so idle
+    // registration that grew the stack would cost memory per thread.
+    {
+        util::LockGuard lock{pool_lock_};
+        pool_idle_.reserve(handler_threads);
+    }
+    pool_wakes_.reserve(handler_threads);
     for (unsigned i = 0; i < handler_threads; ++i) {
-        pool_threads_.emplace_back([this] { handler_loop(); });
+        pool_wakes_.push_back(std::make_unique<WakeSlot>());
+    }
+    pool_threads_.reserve(handler_threads);
+    for (const auto& wake : pool_wakes_) {
+        pool_threads_.emplace_back([this, w = wake.get()] { handler_loop(*w); });
     }
     acceptor_ = std::thread{[this] { accept_loop(); }};
 }
@@ -268,7 +287,7 @@ void FrameServer::stop() {
             util::LockGuard lock{pool_lock_};
             pool_stop_ = true;
         }
-        pool_cv_.notify_all();
+        for (const auto& wake : pool_wakes_) wake->cv.notify_one();
         for (auto& t : pool_threads_) {
             if (t.get_id() != std::this_thread::get_id()) t.join();
         }
@@ -304,24 +323,39 @@ void FrameServer::request_stop_from_reactor() {
 }
 
 bool FrameServer::submit(std::function<void()> task) {
+    WakeSlot* wake = nullptr;
     {
         util::LockGuard lock{pool_lock_};
         if (pool_stop_) return false;
-        pool_queue_.push_back(std::move(task));
+        if (pool_idle_.empty()) {
+            pool_queue_.push_back(std::move(task));  // every thread is busy
+            return true;
+        }
+        wake = pool_idle_.back();
+        pool_idle_.pop_back();
+        wake->task = std::move(task);
     }
-    pool_cv_.notify_one();
+    wake->cv.notify_one();
     return true;
 }
 
-void FrameServer::handler_loop() {
+void FrameServer::handler_loop(WakeSlot& wake) {
     for (;;) {
         std::function<void()> task;
         {
             util::LockGuard lock{pool_lock_};
-            while (!pool_stop_ && pool_queue_.empty()) pool_cv_.wait(lock);
+            if (pool_queue_.empty() && !pool_stop_) {
+                pool_idle_.push_back(&wake);  // within the reserved capacity
+                while (!pool_stop_ && !wake.task) wake.cv.wait(lock);
+            }
             if (pool_stop_) return;  // abandon queued work; see stop()
-            task = std::move(pool_queue_.front());
-            pool_queue_.erase(pool_queue_.begin());
+            if (wake.task) {
+                task = std::move(wake.task);
+                wake.task = nullptr;
+            } else {
+                task = std::move(pool_queue_.front());
+                pool_queue_.pop_front();
+            }
         }
         task();
     }

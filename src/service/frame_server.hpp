@@ -42,6 +42,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>  // std::once_flag
@@ -132,10 +133,11 @@ private:
     struct Conn;
     struct Slot;
     struct Reactor;
+    struct WakeSlot;
 
     void accept_loop();
     void reactor_loop(Reactor& reactor);
-    void handler_loop();
+    void handler_loop(WakeSlot& wake);
 
     // Reactor-side connection handling; all run on the owning reactor
     // thread only.
@@ -171,11 +173,15 @@ private:
     std::vector<std::unique_ptr<Reactor>> reactors_;
     std::atomic<unsigned> next_reactor_{0};
 
-    // Handler pool: runs blocking Handler/BatchHandler calls.
+    // Handler pool: runs blocking Handler/BatchHandler calls. An idle
+    // thread sleeps on its own wake slot; submit() hands each task to the
+    // most recently idle thread (LIFO), whose stack and caches are still
+    // warm, and queues it only while every thread is busy.
     util::Mutex pool_lock_;
-    util::CondVar pool_cv_;
-    std::vector<std::function<void()>> pool_queue_ GUARDED_BY(pool_lock_);
+    std::deque<std::function<void()>> pool_queue_ GUARDED_BY(pool_lock_);
+    std::vector<WakeSlot*> pool_idle_ GUARDED_BY(pool_lock_);  // warmest last
     bool pool_stop_ GUARDED_BY(pool_lock_) = false;
+    std::vector<std::unique_ptr<WakeSlot>> pool_wakes_;  // one per thread
     std::vector<std::thread> pool_threads_;
 
     // Spawned by the `shutdown` verb so a reactor thread is never asked

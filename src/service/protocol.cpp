@@ -284,26 +284,31 @@ std::optional<Request> parse_request(std::string_view text, std::string* error) 
 }
 
 std::string route_key(const Request& req) {
+    engine::Sha256 hash;
     if (req.verb != Verb::Query) {
-        return engine::sha256_hex(std::string{"verb:"} + std::string{name(req.verb)});
+        hash.update("verb:").update(name(req.verb));
+        return engine::hex(hash.final());
     }
     // Canonical identity text: the query fields that determine the payload
-    // bytes, in a fixed order. deadline-ms is a client-side QoS knob and
-    // format only applies to metrics, so neither participates.
-    std::string canon;
-    canon += "experiment " + req.experiment + '\n';
-    canon += "point " + req.point + '\n';
-    char seed_buf[32];
-    std::snprintf(seed_buf, sizeof seed_buf, "seed 0x%016llx\n",
-                  static_cast<unsigned long long>(req.seed));
-    canon += seed_buf;
-    canon += "audit ";
-    canon += engine::name(req.audit);
-    canon += '\n';
-    canon += "quick ";
-    canon += req.quick ? '1' : '0';
-    canon += '\n';
-    return engine::sha256_hex(canon);
+    // bytes, in a fixed order, fed to the hasher piece by piece:
+    //   experiment <e>\npoint <p>\nseed 0x<16 hex>\naudit <mode>\nquick <0|1>\n
+    // deadline-ms is a client-side QoS knob and format only applies to
+    // metrics, so neither participates.
+    static constexpr char kHexDigits[] = "0123456789abcdef";
+    std::array<char, 16> seed_hex{};
+    for (std::size_t i = 0; i < seed_hex.size(); ++i) {
+        seed_hex[i] = kHexDigits[(req.seed >> (60 - 4 * i)) & 0xF];
+    }
+    hash.update("experiment ")
+        .update(req.experiment)
+        .update("\npoint ")
+        .update(req.point)
+        .update("\nseed 0x")
+        .update({seed_hex.data(), seed_hex.size()})
+        .update("\naudit ")
+        .update(engine::name(req.audit))
+        .update(req.quick ? "\nquick 1\n" : "\nquick 0\n");
+    return engine::hex(hash.final());
 }
 
 std::string Response::encode_header() const {

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <string>
+#include <string_view>
+
 #include "engine/blob.hpp"
 #include "engine/spec.hpp"
 
@@ -25,6 +30,56 @@ TEST(Sha256, LongInputCrossesBlockBoundaries) {
     for (const std::size_t n : {55u, 56u, 63u, 64u, 65u}) {
         EXPECT_EQ(sha256_hex(std::string(n, 'x')).size(), 64u);
     }
+}
+
+/// A fixed pattern over all 256 byte values, long enough for every
+/// length and offset below.
+std::string sha_test_bytes() {
+    std::string bytes(1200, '\0');
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+        bytes[i] = static_cast<char>(i * 131 + (i >> 8));
+    }
+    return bytes;
+}
+
+TEST(Sha256, DispatchedKernelMatchesThePortableReference) {
+    // On a CPU without the SHA extensions both sides run the portable
+    // kernel and the comparison proves nothing.
+    if (sha256_kernel() == "portable") {
+        GTEST_SKIP() << "sha256 dispatched kernel is '" << sha256_kernel()
+                     << "': CPUID reports no SHA extensions here";
+    }
+    const std::string bytes = sha_test_bytes();
+    // Every length through 1,100 bytes (the 55/56/63/64-byte padding
+    // edges and up to 17 whole blocks), from four start offsets so the
+    // kernel's loads are unaligned too.
+    for (std::size_t offset = 0; offset < 4; ++offset) {
+        for (std::size_t length = 0; length <= 1100; ++length) {
+            const std::string_view data{bytes.data() + offset, length};
+            ASSERT_EQ(sha256(data), sha256_portable(data))
+                << "offset " << offset << ", length " << length;
+        }
+    }
+}
+
+TEST(Sha256, StreamingSplitsMatchOneCall) {
+    const std::string bytes = sha_test_bytes();
+    std::mt19937_64 rng{0x5a256};
+    for (int trial = 0; trial < 2000; ++trial) {
+        const std::size_t length = rng() % 1100;
+        const std::string_view data{bytes.data() + rng() % 4, length};
+        Sha256 streamed;
+        for (std::size_t at = 0; at < length;) {
+            // Piece sizes of 0..130 bytes cross the block boundary from
+            // every fill level, empty updates included.
+            const std::size_t piece = std::min<std::size_t>(rng() % 131, length - at);
+            streamed.update(data.substr(at, piece));
+            at += piece;
+        }
+        ASSERT_EQ(streamed.final(), sha256(data)) << "trial " << trial;
+    }
+    EXPECT_EQ(hex(Sha256{}.update("ab").update("").update("c").final()),
+              sha256_hex("abc"));
 }
 
 TEST(Sha256, Prefix64IsBigEndianDigestHead) {

@@ -31,6 +31,14 @@ HSW_TEST_NOINLINE void* operator new(std::size_t size) {
     throw std::bad_alloc{};
 }
 
+// The nothrow form too (std::get_temporary_buffer, behind stable_sort and
+// inplace_merge, uses it): left to the runtime's version, it would pair
+// with the free() above, which ASan reports as an alloc-dealloc mismatch.
+HSW_TEST_NOINLINE void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+    g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size);
+}
+
 HSW_TEST_NOINLINE void operator delete(void* p) noexcept { std::free(p); }
 HSW_TEST_NOINLINE void operator delete(void* p, std::size_t) noexcept {
     std::free(p);

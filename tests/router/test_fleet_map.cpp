@@ -8,6 +8,7 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 using hsw::router::FleetMap;
@@ -124,4 +125,28 @@ TEST(FleetMapTest, RemovingAShardOnlyMovesItsOwnKeys) {
     // Sanity: the removed shard owned a real share of the key space.
     EXPECT_GT(moved, 100);
     EXPECT_GT(kept, 1000);
+}
+
+TEST(FleetMapTest, PinnedRouteKeysKeepTheirReplicaSets) {
+    // The keys of ProtocolTest.RouteKeyBytesArePinned, placed on a fixed
+    // 3-shard ring with 2 replicas: where a query lands is part of what a
+    // fleet's caches remember, so these sets never move either.
+    FleetMapConfig cfg;
+    cfg.replicas = 2;
+    const FleetMap map{make_shards(3), cfg};
+    const std::vector<std::pair<std::string, std::vector<std::size_t>>> pins = {
+        {"3a86674712f769e96fa93169d1f9168a5cf26f323974df0fe2d12f35afa2ba06", {0, 1}},
+        {"a8db0d69af3690992c4a75c9f94ade8d12640fbb064dcd1ca4ec49a639e59691", {0, 1}},
+        {"2bcfce11e30a0cd99c36d011b3ba195fd66eb09f5d68ff96ba6a4ebf02e77af6", {1, 0}},
+        {"9c60cc22ad98bb44d0a52c764d65bb17cd82f5d10ddbbc6bdc6dcc7bf1678e14", {0, 1}},
+        {"4b77cb1f8d58330a2608e7dd39635d92e6a574cf0017ce9759b73168e38c8eb7", {0, 1}},
+        {"57e5b6c21577d186fdd8148a7c04449145fe866b166c7ab8999c2e1705da7cc5", {0, 2}},
+        {"dedf6dbb0340256a2e38691435ba25f7b501168d0c367e82e3ab2e45ef589f2a", {1, 0}},
+        {"43ddf0b9f7c0d25f77e383c5f15e85fb09a25ed6585f900a6631e019c54c7ceb", {2, 0}},
+        {"4c2e2b2f1af296535f90bdecb70239a4e688e509b9f058de38d3f8cd1856ecb5", {2, 0}},
+        {"2cb71334b3b55f85c559e86aeb5a2849af546a8e6125366d8a80900f6e2879a4", {0, 1}},
+    };
+    for (const auto& [key, replicas] : pins) {
+        EXPECT_EQ(map.replica_set(key), replicas) << key;
+    }
 }

@@ -8,12 +8,15 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
+
+#include "../heap_alloc_counter.hpp"
 
 using namespace hsw::service::protocol;
 
@@ -342,6 +345,81 @@ TEST(ProtocolTest, RouteKeyIsContentIdentityOnly) {
     other = req;
     other.quick = true;
     EXPECT_NE(route_key(other), key);
+}
+
+namespace {
+
+Request pinned_query(std::string experiment, std::string point, std::uint64_t seed) {
+    Request req;
+    req.verb = Verb::Query;
+    req.experiment = std::move(experiment);
+    req.point = std::move(point);
+    req.seed = seed;
+    return req;
+}
+
+/// 1,000 bytes: the canonical text spans 17 blocks of the hasher.
+std::string long_experiment_name() {
+    std::string name;
+    for (int i = 0; i < 1000; ++i) name += static_cast<char>('a' + i % 26);
+    return name;
+}
+
+}  // namespace
+
+TEST(ProtocolTest, RouteKeyBytesArePinned) {
+    // Route keys are placement and cache identity across a fleet, so their
+    // bytes never move. These were captured from the concatenated
+    // canonical text that the streaming hasher replaced.
+    struct Pin {
+        const char* what;
+        Request request;
+        const char* key;
+    };
+    std::vector<Pin> pins;
+    pins.push_back({"1,000-byte experiment",
+                    pinned_query(long_experiment_name(), "*", 0xC0FFEE),
+                    "3a86674712f769e96fa93169d1f9168a5cf26f323974df0fe2d12f35afa2ba06"});
+    pins.push_back({"named point", pinned_query("fig7", "generation=Haswell-EP", 7),
+                    "a8db0d69af3690992c4a75c9f94ade8d12640fbb064dcd1ca4ec49a639e59691"});
+    pins.push_back({"whole experiment", pinned_query("table5", "*", 7),
+                    "2bcfce11e30a0cd99c36d011b3ba195fd66eb09f5d68ff96ba6a4ebf02e77af6"});
+    pins.push_back({"seed 0", pinned_query("fig4", "*", 0),
+                    "9c60cc22ad98bb44d0a52c764d65bb17cd82f5d10ddbbc6bdc6dcc7bf1678e14"});
+    pins.push_back({"seed 2^64-1",
+                    pinned_query("fig4", "*", std::numeric_limits<std::uint64_t>::max()),
+                    "4b77cb1f8d58330a2608e7dd39635d92e6a574cf0017ce9759b73168e38c8eb7"});
+    pins.push_back({"audit off", pinned_query("fig3", "*", 7),
+                    "57e5b6c21577d186fdd8148a7c04449145fe866b166c7ab8999c2e1705da7cc5"});
+    Request warn = pinned_query("fig3", "*", 7);
+    warn.audit = hsw::analysis::AuditMode::Warn;
+    pins.push_back({"audit warn", warn,
+                    "dedf6dbb0340256a2e38691435ba25f7b501168d0c367e82e3ab2e45ef589f2a"});
+    Request strict = pinned_query("fig3", "*", 7);
+    strict.audit = hsw::analysis::AuditMode::Strict;
+    pins.push_back({"audit strict", strict,
+                    "43ddf0b9f7c0d25f77e383c5f15e85fb09a25ed6585f900a6631e019c54c7ceb"});
+    Request quick = pinned_query("fig3", "*", 7);
+    quick.quick = true;
+    pins.push_back({"quick", quick,
+                    "4c2e2b2f1af296535f90bdecb70239a4e688e509b9f058de38d3f8cd1856ecb5"});
+    Request ping;
+    ping.verb = Verb::Ping;
+    pins.push_back({"ping verb", ping,
+                    "2cb71334b3b55f85c559e86aeb5a2849af546a8e6125366d8a80900f6e2879a4"});
+    for (const Pin& pin : pins) EXPECT_EQ(route_key(pin.request), pin.key) << pin.what;
+}
+
+TEST(ProtocolTest, RouteKeyAllocatesOnlyItsResult) {
+    // The canonical fields stream into the hasher; the hex string returned
+    // is the one allocation, however long the experiment name.
+    const Request req = pinned_query(long_experiment_name(), "generation=Haswell-EP", 7);
+    std::string key = route_key(req);  // first use picks the SHA-256 kernel
+    const std::uint64_t before = g_heap_allocs.load();
+    key = route_key(req);
+    const std::uint64_t allocs = g_heap_allocs.load() - before;
+    EXPECT_EQ(allocs, 1u);
+    EXPECT_EQ(key.size(), 64u);
 }
 
 // --- Tags and batch frames ----------------------------------------------------

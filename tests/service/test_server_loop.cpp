@@ -12,7 +12,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -412,6 +414,69 @@ TEST(ServerLoop, PausedReadsResumeOnceTheClientDrains) {
     EXPECT_EQ(handled.load(), kBurst + 1);
     ::close(fd);
     server.stop();
+}
+
+TEST(ServerLoop, SequentialRequestsStayOnTheWarmestHandlerThread) {
+    // One request at a time through the handler pool (no fast handler):
+    // each is handed to the thread that went idle last, which is the one
+    // that served the previous request, or the one before it if the next
+    // request beat that thread back to the idle stack. Waking the oldest
+    // waiter instead walks the whole 64-thread pool.
+    std::mutex lock;
+    std::set<std::thread::id> threads;
+    FrameServerConfig cfg;
+    cfg.metric_prefix = "hsw_test_warmest";
+    FrameServer server{cfg, [&](const protocol::Request&) {
+                           {
+                               const std::lock_guard<std::mutex> guard{lock};
+                               threads.insert(std::this_thread::get_id());
+                           }
+                           protocol::Response response;
+                           response.payload = "served";
+                           return response;
+                       }};
+    server.start();
+    // Every pool thread parks before the first request: one that started
+    // late would go idle on top of the thread that served it.
+    std::this_thread::sleep_for(std::chrono::milliseconds{50});
+    {
+        ServiceClient client{"127.0.0.1", server.port()};
+        protocol::Request req;
+        req.verb = protocol::Verb::Query;
+        req.experiment = "echo";
+        for (int i = 0; i < 32; ++i) {
+            const auto response = client.call(req);
+            ASSERT_TRUE(response.ok()) << i;
+            ASSERT_EQ(response.payload, "served") << i;
+            // Time for the thread that replied to park again, even on a
+            // loaded host.
+            std::this_thread::sleep_for(std::chrono::milliseconds{2});
+        }
+    }
+    server.stop();
+    const std::lock_guard<std::mutex> guard{lock};
+    EXPECT_LE(threads.size(), 2u);
+}
+
+TEST(ServerLoop, StopWithEveryHandlerThreadIdleJoinsPromptly) {
+    FrameServerConfig cfg;
+    cfg.metric_prefix = "hsw_test_idle_stop";
+    FrameServer server{cfg, [](const protocol::Request&) { return protocol::Response{}; }};
+    server.start();
+    {
+        // One served request, then nothing: every pool thread is parked
+        // on its own wake slot when stop() runs.
+        ServiceClient client{"127.0.0.1", server.port()};
+        protocol::Request req;
+        req.verb = protocol::Verb::Query;
+        req.experiment = "echo";
+        ASSERT_TRUE(client.call(req).ok());
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds{20});
+    const auto before = std::chrono::steady_clock::now();
+    server.stop();
+    EXPECT_TRUE(server.stopped());
+    EXPECT_LT(std::chrono::steady_clock::now() - before, std::chrono::seconds{2});
 }
 
 TEST(ServerLoop, PipelinedReplayIsByteIdenticalToSingleCalls) {
