@@ -43,12 +43,70 @@ Socket::Socket(const arch::Sku& sku, unsigned socket_id, bool turbo_enabled,
         c.voltage = power::VfCurve::core_curve(socket_id).voltage_for(sku.min_frequency) *
                     c.vf_factor;
     }
+    pcu_in_.cores.resize(sku.cores);
+    for (pcu::PcuOutputs* out : {&tick_, &staged_}) {
+        out->cores.resize(sku.cores);
+        out->die_uncore_frequency.reserve(2);  // the controller's two dies
+    }
+}
+
+namespace {
+
+[[nodiscard]] bool same_bits(double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+}  // namespace
+
+// hsw:hot-path -- the PCU grid tick with its input gathering, and the
+// integration below it.
+inline void Socket::ModulatedLoads::note(const workloads::Workload& w, bool ht, double cdyn) {
+    if (w.modulation == workloads::Modulation::Constant) return;
+    const std::span seen{loads.data(), count};
+    if (std::none_of(seen.begin(), seen.end(),
+                     [&](const Load& l) { return l.workload == &w && l.ht == ht; })) {
+        loads[count++] = {&w, ht, cdyn};
+    }
+}
+
+inline bool Socket::ModulatedLoads::unchanged_at(Time t) const {
+    const std::span recorded{loads.data(), count};
+    return std::all_of(recorded.begin(), recorded.end(), [t](const Load& l) {
+        return same_bits(l.workload->cdyn_at(t, l.ht), l.cdyn);
+    });
+}
+
+const pcu::PcuOutputs* Socket::pcu_tick(Time now, bool system_active,
+                                        Frequency fastest_system_core) {
+    if (!pcu_inputs_held(now, system_active, fastest_system_core) ||
+        !pcu_.evaluate_steady(pcu_in_, now, tick_)) {
+        fill_pcu_inputs(now, system_active, fastest_system_core);
+        pcu_.evaluate(pcu_in_, now, tick_);
+    }
+
+    // Suppress the apply event when nothing changes (common in steady state).
+    bool changed = tick_.uncore_frequency != uncore_freq_ ||
+                   tick_.uncore_clock_halted != uncore_halted_;
+    for (std::size_t i = 0; i < cores_.size() && !changed; ++i) {
+        changed = tick_.cores[i].frequency != cores_[i].frequency ||
+                  tick_.cores[i].throughput_factor != cores_[i].throughput_factor;
+    }
+    return changed ? &tick_ : nullptr;
+}
+
+bool Socket::pcu_inputs_held(Time now, bool system_active,
+                             Frequency fastest_system_core) const {
+    const Gathered& g = gathered_;
+    return steady_ticks_ && g.epoch == pcu_epoch_ && g.system_active == system_active &&
+           same_bits(g.fastest_system_hz, fastest_system_core.as_hz()) &&
+           g.power_limit_raw == rapl_.power_limit_msr() && g.modulated.unchanged_at(now);
 }
 
 void Socket::fill_pcu_inputs(Time now, bool system_active,
                              Frequency fastest_system_core) {
     pcu::PcuInputs& in = pcu_in_;
-    in.cores.resize(cores_.size());
+    Gathered& g = gathered_;
+    g.modulated.count = 0;
     double traffic = 0.0;
     double current_intensity = 0.0;
     for (std::size_t i = 0; i < cores_.size(); ++i) {
@@ -65,6 +123,7 @@ void Socket::fill_pcu_inputs(Time now, bool system_active,
             ci.cdyn_utilization = c.workload->cdyn_at(now, ht);
             traffic += c.workload->uncore_traffic;
             current_intensity = std::max(current_intensity, c.workload->current_intensity);
+            g.modulated.note(*c.workload, ht, ci.cdyn_utilization);
         }
     }
     in.epb = epb_;
@@ -78,9 +137,13 @@ void Socket::fill_pcu_inputs(Time now, bool system_active,
     in.uncore_ratio_limit_raw = uncore_ratio_limit_raw_;
     in.hwp_enabled = hwp_enabled_;
     in.hwp_request_pkg_raw = hwp_request_pkg_raw_;
+    g.epoch = pcu_epoch_;
+    g.system_active = system_active;
+    g.fastest_system_hz = fastest_system_core.as_hz();
+    g.power_limit_raw = rapl_.power_limit_msr();
 }
 
-// hsw:hot-path -- runs for every socket on every sync (several per PCU tick).
+// Runs for every socket on every sync (several per PCU tick).
 void Socket::advance_to(Time now) {
     const Time dt = now - last_update_;
     if (dt <= Time::zero()) {
@@ -118,17 +181,7 @@ void Socket::advance_to(Time now) {
 }
 
 bool Socket::rates_current(const Rates& r) const {
-    if (r.system_active != system_active_hint_) return false;
-    // A modulated load's cdyn moves with time; one evaluation per distinct
-    // (workload, threading) pair covers every core that runs it.
-    for (std::size_t k = 0; k < r.modulated_count; ++k) {
-        const ModulatedLoad& m = r.modulated[k];
-        if (std::bit_cast<std::uint64_t>(m.workload->cdyn_at(last_update_, m.ht)) !=
-            std::bit_cast<std::uint64_t>(m.cdyn)) {
-            return false;
-        }
-    }
-    return true;
+    return r.system_active == system_active_hint_ && r.modulated.unchanged_at(last_update_);
 }
 
 void Socket::recompute_rates(Rates& r) {
@@ -140,7 +193,7 @@ void Socket::recompute_rates(Rates& r) {
     double traffic = 0.0;
     double dram_demand = 0.0;
     rapl::ActivityVector av;
-    r.modulated_count = 0;
+    r.modulated.count = 0;
     for (std::size_t i = 0; i < cores_.size(); ++i) {
         const SimCore& c = cores_[i];
         CoreRates& cr = r.cores[i];
@@ -154,14 +207,7 @@ void Socket::recompute_rates(Rates& r) {
         if (c.state != cstates::CState::C0 || c.workload == nullptr) continue;
 
         const bool ht = c.threads >= 2;
-        if (c.workload->modulation != workloads::Modulation::Constant) {
-            const std::span seen{r.modulated.data(), r.modulated_count};
-            if (std::none_of(seen.begin(), seen.end(), [&](const ModulatedLoad& m) {
-                    return m.workload == c.workload && m.ht == ht;
-                })) {
-                r.modulated[r.modulated_count++] = {c.workload, ht, cdyn};
-            }
-        }
+        r.modulated.note(*c.workload, ht, cdyn);
         const double ratio = uncore_running ? c.frequency / uncore_freq_ : 1.0;
         const double ipc = c.workload->ipc(ratio, ht);
         cr.instructions_per_cycle = ipc * c.throughput_factor;
@@ -194,39 +240,23 @@ void Socket::recompute_rates(Rates& r) {
 
 bool Socket::at_current_grants(const Rates& r) const {
     // Bit compares: a grant equal in value but not in bits (-0.0) re-derives.
-    auto same = [](double a, double b) {
-        return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-    };
-    if (!same(r.uncore_hz, uncore_freq_.as_hz()) ||
-        !same(r.uncore_volts, uncore_voltage_.as_volts()) || r.uncore_halted != uncore_halted_) {
+    if (!same_bits(r.uncore_hz, uncore_freq_.as_hz()) ||
+        !same_bits(r.uncore_volts, uncore_voltage_.as_volts()) ||
+        r.uncore_halted != uncore_halted_) {
         return false;
     }
     for (std::size_t i = 0; i < cores_.size(); ++i) {
         const SimCore& c = cores_[i];
         const CoreRates& cr = r.cores[i];
-        if (!same(cr.hz, c.frequency.as_hz()) || !same(cr.volts, c.voltage.as_volts()) ||
-            !same(cr.throughput_factor, c.throughput_factor)) {
+        if (!same_bits(cr.hz, c.frequency.as_hz()) ||
+            !same_bits(cr.volts, c.voltage.as_volts()) ||
+            !same_bits(cr.throughput_factor, c.throughput_factor)) {
             return false;
         }
     }
     return true;
 }
 // hsw:end-hot-path
-
-const pcu::PcuOutputs* Socket::pcu_tick(Time now, bool system_active,
-                                        Frequency fastest_system_core) {
-    fill_pcu_inputs(now, system_active, fastest_system_core);
-    pcu_.evaluate(pcu_in_, now, tick_);
-
-    // Suppress the apply event when nothing changes (common in steady state).
-    bool changed = tick_.uncore_frequency != uncore_freq_ ||
-                   tick_.uncore_clock_halted != uncore_halted_;
-    for (std::size_t i = 0; i < cores_.size() && !changed; ++i) {
-        changed = tick_.cores[i].frequency != cores_[i].frequency ||
-                  tick_.cores[i].throughput_factor != cores_[i].throughput_factor;
-    }
-    return changed ? &tick_ : nullptr;
-}
 
 void Socket::apply_grants(const pcu::PcuOutputs& out) {
     for (std::size_t i = 0; i < cores_.size(); ++i) {
@@ -250,21 +280,24 @@ void Socket::apply_grants(const pcu::PcuOutputs& out) {
 
 void Socket::run_workload(unsigned core, const workloads::Workload* w, unsigned threads) {
     invalidate_rates();
+    ++pcu_epoch_;
     SimCore& c = cores_[core];
     c.workload = w;
     c.threads = std::clamp(threads, 1u, 2u);
-    c.state = cstates::CState::C0;
+    set_core_state(c, cstates::CState::C0);
 }
 
 void Socket::park(unsigned core, cstates::CState state) {
     invalidate_rates();
+    ++pcu_epoch_;
     cores_[core].workload = nullptr;
-    cores_[core].state = state;
+    set_core_state(cores_[core], state);
 }
 
 void Socket::wake(unsigned core) {
     invalidate_rates();
-    cores_[core].state = cstates::CState::C0;
+    ++pcu_epoch_;
+    set_core_state(cores_[core], cstates::CState::C0);
 }
 
 cstates::PackageCState Socket::package_state(bool any_core_active_in_system) const {
@@ -280,12 +313,6 @@ Frequency Socket::fastest_active_core() const {
         if (c.state == cstates::CState::C0) best = std::max(best, c.frequency);
     }
     return best;
-}
-
-bool Socket::any_core_active() const {
-    return std::any_of(cores_.begin(), cores_.end(), [](const SimCore& c) {
-        return c.state == cstates::CState::C0;
-    });
 }
 
 double Socket::cdyn_at(const SimCore& c, Time t) const {

@@ -78,7 +78,9 @@ public:
 
     /// One PCU opportunity-grid evaluation into the socket's reused tick
     /// buffer. Returns the grants when they change the operating point,
-    /// else null; the pointee stays valid until the next pcu_tick().
+    /// else null; the pointee stays valid until the next pcu_tick(). A tick
+    /// whose inputs are bit-identical to the last gathered set gathers
+    /// nothing and takes the controller's steady evaluation.
     [[nodiscard]] const pcu::PcuOutputs* pcu_tick(Time now, bool system_active,
                                                   Frequency fastest_system_core);
 
@@ -94,6 +96,8 @@ public:
     void apply_staged_grants() { apply_grants(staged_); }
 
     // --- core control: every write to a core goes through these ---
+    // Each writer of a PCU input (these, and the EPB, turbo, uncore-limit
+    // and HWP setters below) bumps the socket's PCU input epoch.
     /// Run `w` on `core` with `threads` (1 or 2) hardware threads, in C0.
     void run_workload(unsigned core, const workloads::Workload* w, unsigned threads);
     /// Put `core` in `state` with no workload.
@@ -104,9 +108,11 @@ public:
     /// integration rates stay valid.
     void set_requested_ratio(unsigned core, unsigned ratio) {
         cores_[core].requested_ratio = ratio;
+        ++pcu_epoch_;
     }
     void set_hwp_request(unsigned core, std::uint64_t raw) {
         cores_[core].hwp_request_raw = raw;
+        ++pcu_epoch_;
     }
 
     // --- state access ---
@@ -127,23 +133,37 @@ public:
     void set_system_active_hint(bool active) { system_active_hint_ = active; }
     [[nodiscard]] rapl::RaplPackage& rapl() { return rapl_; }
     [[nodiscard]] const rapl::RaplPackage& rapl() const { return rapl_; }
-    [[nodiscard]] pcu::PcuController& pcu() { return pcu_; }
     [[nodiscard]] const mem::BandwidthModel& bandwidth_model() const { return bw_model_; }
     [[nodiscard]] const arch::DieTopology& topology() const { return topo_; }
 
-    void set_epb(msr::EpbPolicy p) { epb_ = p; }
+    void set_epb(msr::EpbPolicy p) {
+        epb_ = p;
+        ++pcu_epoch_;
+    }
     [[nodiscard]] msr::EpbPolicy epb() const { return epb_; }
-    void set_turbo_enabled(bool on) { turbo_enabled_ = on; }
+    void set_turbo_enabled(bool on) {
+        turbo_enabled_ = on;
+        ++pcu_epoch_;
+    }
     [[nodiscard]] bool turbo_enabled() const { return turbo_enabled_; }
 
     /// Raw MSR_UNCORE_RATIO_LIMIT value (consumed by the UFS policy).
-    void set_uncore_ratio_limit(std::uint64_t raw) { uncore_ratio_limit_raw_ = raw; }
+    void set_uncore_ratio_limit(std::uint64_t raw) {
+        uncore_ratio_limit_raw_ = raw;
+        ++pcu_epoch_;
+    }
     [[nodiscard]] std::uint64_t uncore_ratio_limit() const { return uncore_ratio_limit_raw_; }
 
     // --- HWP (Skylake-SP+; ignored by non-HWP backends) ---
-    void set_hwp_enabled(bool on) { hwp_enabled_ = on; }
+    void set_hwp_enabled(bool on) {
+        hwp_enabled_ = on;
+        ++pcu_epoch_;
+    }
     [[nodiscard]] bool hwp_enabled() const { return hwp_enabled_; }
-    void set_hwp_request_pkg(std::uint64_t raw) { hwp_request_pkg_raw_ = raw; }
+    void set_hwp_request_pkg(std::uint64_t raw) {
+        hwp_request_pkg_raw_ = raw;
+        ++pcu_epoch_;
+    }
     [[nodiscard]] std::uint64_t hwp_request_pkg() const { return hwp_request_pkg_raw_; }
 
     /// Per-die uncore grants (empty unless the backend models them).
@@ -153,7 +173,7 @@ public:
 
     /// Highest granted clock among C0 cores (zero if none).
     [[nodiscard]] Frequency fastest_active_core() const;
-    [[nodiscard]] bool any_core_active() const;
+    [[nodiscard]] bool any_core_active() const { return active_cores_ > 0; }
 
     /// Instantaneous package / DRAM power at the current operating point.
     [[nodiscard]] Power current_package_power(Time now) const;
@@ -168,15 +188,27 @@ public:
     [[nodiscard]] Bandwidth achieved_dram_bandwidth() const;
 
 private:
-    friend struct SocketTestPeer;  // turns off rate reuse in shadow tests
+    friend struct SocketTestPeer;  // turns off rate reuse and steady ticks in twins
 
     static constexpr std::size_t kMaxCores = pcu::PcuController::kMaxCores;
-    /// One modulated (workload, threading) pair that runs on some core, and
-    /// its cdyn when the rates were derived.
-    struct ModulatedLoad {
-        const workloads::Workload* workload = nullptr;
-        bool ht = false;
-        double cdyn = 0.0;
+    /// The distinct modulated (workload, threading) pairs that run on some
+    /// core, each with its cdyn when the rates were derived or the PCU
+    /// inputs gathered. A modulated cdyn moves with time; one evaluation per
+    /// pair covers every core that runs it.
+    struct ModulatedLoads {
+        struct Load {
+            const workloads::Workload* workload = nullptr;
+            bool ht = false;
+            double cdyn = 0.0;
+        };
+        std::array<Load, kMaxCores> loads{};
+        std::size_t count = 0;
+
+        /// Records a running core's load and its cdyn, unless the load is
+        /// constant or already recorded.
+        void note(const workloads::Workload& w, bool ht, double cdyn);
+        /// Whether each recorded pair's cdyn at `t` has the recorded bits.
+        [[nodiscard]] bool unchanged_at(Time t) const;
     };
     struct CoreRates {
         // The core's grant when the rates were derived (voltage with its
@@ -200,8 +232,7 @@ private:
         rapl::ActivityVector activity;
         cstates::PackageCState package_state = cstates::PackageCState::PC0;
         bool system_active = false;  // the hint package_state resolved under
-        std::array<ModulatedLoad, kMaxCores> modulated{};
-        std::size_t modulated_count = 0;
+        ModulatedLoads modulated;
         bool valid = false;
     };
 
@@ -215,8 +246,18 @@ private:
     [[nodiscard]] bool at_current_grants(const Rates& r) const;
     /// A core's state, workload or threading changed: no rates hold.
     void invalidate_rates() { rates_[0].valid = rates_[1].valid = false; }
-    /// Refill pcu_in_ from the current state (modulation evaluated at `now`).
+    /// Refill pcu_in_ from the current state (modulation evaluated at `now`)
+    /// and record in gathered_ what the refill read besides the socket.
     void fill_pcu_inputs(Time now, bool system_active, Frequency fastest_system_core);
+    /// Whether pcu_in_ still holds every input a tick at `now` would gather.
+    [[nodiscard]] bool pcu_inputs_held(Time now, bool system_active,
+                                       Frequency fastest_system_core) const;
+    /// Moves a core to `state`, keeping active_cores_ in step.
+    void set_core_state(SimCore& c, cstates::CState state) {
+        active_cores_ -= c.state == cstates::CState::C0 ? 1 : 0;
+        active_cores_ += state == cstates::CState::C0 ? 1 : 0;
+        c.state = state;
+    }
     [[nodiscard]] mem::ConcurrencyConfig concurrency() const;
     // The per-core pieces shared by recompute_rates() and the current_*()
     // readers, so both produce bit-identical sums.
@@ -254,6 +295,7 @@ private:
     double pkg_c3_residency_ = 0.0;
     double pkg_c6_residency_ = 0.0;
     bool system_active_hint_ = false;
+    unsigned active_cores_ = 0;  // cores in C0
     Time last_update_;
 
     // Two rate sets, for the two operating points a dither alternates
@@ -263,7 +305,24 @@ private:
     unsigned live_ = 0;
     bool reuse_rates_ = true;  // false: every advance_to() re-derives
 
-    // Reused PCU buffers: a steady-state tick allocates nothing.
+    // The PCU input epoch. A workload's fields other than its cdyn stay
+    // fixed while it runs (rates_current() relies on this too), so the
+    // inputs a tick gathers move only with a bump, a moved argument, a
+    // MSR_PKG_POWER_LIMIT write (RaplPackage takes it) or a modulated cdyn.
+    std::uint64_t pcu_epoch_ = 0;
+    /// What the last gathered tick read besides the socket's own state.
+    struct Gathered {
+        std::uint64_t epoch = ~std::uint64_t{0};  // no tick gathered yet
+        bool system_active = false;
+        double fastest_system_hz = 0.0;
+        std::uint64_t power_limit_raw = 0;
+        ModulatedLoads modulated;
+    };
+    Gathered gathered_;
+    bool steady_ticks_ = true;  // false: every tick gathers and fully evaluates
+
+    // PCU buffers, sized at construction: a steady-state tick allocates
+    // nothing.
     pcu::PcuInputs pcu_in_;
     pcu::PcuOutputs tick_;    // the last pcu_tick()'s grants
     pcu::PcuOutputs staged_;  // the pending grant, applied after the switch

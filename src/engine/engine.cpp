@@ -8,6 +8,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "pcu/pcu.hpp"
 #include "sim/simulator.hpp"
 #include "util/sync.hpp"
 
@@ -53,11 +54,15 @@ std::string RunReport::summary() const {
 
     std::vector<const JobStats*> slowest;
     std::uint64_t total_events = 0;
+    pcu::TickCounts ticks;
     double total_body_ms = 0.0;
     for (const auto& j : jobs) {
         if (j.cache_hit) continue;
         slowest.push_back(&j);
         total_events += j.sim_events;
+        ticks.evaluated += j.pcu_evaluated;
+        ticks.gathered += j.pcu_gathered;
+        ticks.searched += j.pcu_searched;
         total_body_ms += j.wall_ms;
     }
     if (total_events > 0 && total_body_ms > 0.0) {
@@ -65,6 +70,14 @@ std::string RunReport::summary() const {
                       "  sim-events: %llu dispatched, %.0f events/sec per worker\n",
                       static_cast<unsigned long long>(total_events),
                       static_cast<double>(total_events) / (total_body_ms / 1000.0));
+        out += line;
+    }
+    if (ticks.evaluated > 0) {
+        std::snprintf(line, sizeof line,
+                      "  pcu-ticks: %llu evaluated, %llu gathered, %llu searched\n",
+                      static_cast<unsigned long long>(ticks.evaluated),
+                      static_cast<unsigned long long>(ticks.gathered),
+                      static_cast<unsigned long long>(ticks.searched));
         out += line;
     }
     std::sort(slowest.begin(), slowest.end(),
@@ -152,11 +165,12 @@ RunReport run_experiments(const std::vector<Experiment>& experiments,
                     return;
                 }
             }
-            // Bracket the job body with the worker thread's event counter:
-            // job closures are opaque, but every simulator they drive ticks
-            // the thread-local dispatch count, so the delta is this job's
-            // event work (last attempt wins on retries).
+            // Bracket the job body with the worker thread's event and PCU
+            // counters: job closures are opaque, but every simulator and
+            // controller they drive ticks the thread-local counts, so the
+            // deltas are this job's work (last attempt wins on retries).
             const std::uint64_t events_before = sim::Simulator::thread_events_processed();
+            const pcu::TickCounts ticks_before = pcu::PcuController::thread_tick_counts();
             const auto body_start = std::chrono::steady_clock::now();
             std::string payload;
             {
@@ -171,6 +185,10 @@ RunReport run_experiments(const std::vector<Experiment>& experiments,
                     .count();
             job_computed_counter().inc();
             stats.sim_events = sim::Simulator::thread_events_processed() - events_before;
+            const pcu::TickCounts ticks = pcu::PcuController::thread_tick_counts();
+            stats.pcu_evaluated = ticks.evaluated - ticks_before.evaluated;
+            stats.pcu_gathered = ticks.gathered - ticks_before.gathered;
+            stats.pcu_searched = ticks.searched - ticks_before.searched;
             stats.events_per_sec =
                 body_secs > 0.0 ? static_cast<double>(stats.sim_events) / body_secs : 0.0;
             if (cache) cache->store(fj.job->spec, payload);

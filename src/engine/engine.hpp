@@ -76,6 +76,12 @@ struct JobStats {
     /// sim_events over the job-body wall time -- the survey's per-job
     /// measure of event-engine throughput.
     double events_per_sec = 0.0;
+    /// PCU opportunity-grid evaluations on the worker thread while the body
+    /// ran, sampled like sim_events (pcu::TickCounts): all of them, the
+    /// full ones over gathered inputs, and those that ran the search.
+    std::uint64_t pcu_evaluated = 0;
+    std::uint64_t pcu_gathered = 0;
+    std::uint64_t pcu_searched = 0;
     std::string error;
 };
 

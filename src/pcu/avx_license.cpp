@@ -30,6 +30,7 @@ void AvxLicenseLevels::update(double avx_fraction, double avx512_fraction, Time 
     } else if (avx_fraction >= AvxLicense::kLicenseThreshold) {
         demanded = 1;
     }
+    demand_ = demanded;
     if (demanded >= level_) last_at_or_above_ = now;
     if (demanded > level_) {
         level_ = demanded;

@@ -66,9 +66,18 @@ public:
     static constexpr unsigned kMaxLevel = 2;
 
     void update(double avx_fraction, double avx512_fraction, Time now);
+    /// What update() does at `now` while the demand equals the held level:
+    /// it only restarts the relax timer. Lets a caller that skipped such
+    /// updates catch up with one call for the last of them.
+    void hold(Time now) { last_at_or_above_ = now; }
 
     [[nodiscard]] unsigned level() const { return level_; }
     [[nodiscard]] bool licensed() const { return level_ >= 1; }
+    /// The last update's demand equals the held level, so until the demand
+    /// moves, updates change nothing but the relax timer.
+    [[nodiscard]] bool idle() const { return demand_ == level_; }
+    /// End of the last voltage ramp (it throttles only while licensed).
+    [[nodiscard]] Time ramp_end() const { return ramp_end_; }
 
     [[nodiscard]] bool ramping(Time now) const {
         return level_ > 0 && now < ramp_end_;
@@ -80,6 +89,7 @@ public:
 
 private:
     unsigned level_ = 0;
+    unsigned demand_ = 0;  // the level the last update's densities asked for
     Time ramp_end_ = Time::zero();
     // Last instant the demanded level was at or above the held one; the
     // relax timer measures from here (AvxLicense's last_avx_seen_).

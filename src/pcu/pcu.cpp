@@ -1,6 +1,7 @@
 #include "pcu/pcu.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -20,6 +21,12 @@ namespace {
 constexpr double kUncoreStepMhz = 50.0;  // ladder granularity (1.75/1.65 GHz)
 
 [[nodiscard]] Frequency step_up(Frequency f) { return Frequency::mhz(f.as_mhz() + kUncoreStepMhz); }
+
+thread_local TickCounts g_tick_counts;
+
+[[nodiscard]] bool same_bits(double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
 
 /// Stores `value` in the carry key `slot`; true when it was already there.
 /// Doubles compare by their bits, except that a NaN matches nothing: `==`
@@ -49,7 +56,13 @@ PcuController::PcuController(const arch::Sku& sku, unsigned socket_id,
         throw std::invalid_argument("PcuController: more than " +
                                     std::to_string(kMaxCores) + " cores per socket");
     }
+    for (PcuOutputs& g : grant_sets_) {
+        g.cores.resize(sku.cores);
+        g.die_uncore_frequency.reserve(2);  // fill_die_uncore's two dies
+    }
 }
+
+TickCounts PcuController::thread_tick_counts() { return g_tick_counts; }
 
 Voltage PcuController::core_voltage(unsigned core, Frequency f, unsigned level) const {
     Voltage v = core_curve_.voltage_for(f);
@@ -111,6 +124,8 @@ Power PcuController::estimate_memoized(const PcuInputs& in, const Ratios& ratios
 // hsw:end-hot-path
 
 void PcuController::evaluate(const PcuInputs& in, Time now, PcuOutputs& out) {
+    ++g_tick_counts.evaluated;
+    ++g_tick_counts.gathered;
     out.cores.resize(in.cores.size());  // a reused buffer keeps its capacity
     if (in.hwp_enabled && policy_->hwp_capable()) {
         hwp_inputs_ = in;
@@ -119,11 +134,7 @@ void PcuController::evaluate(const PcuInputs& in, Time now, PcuOutputs& out) {
     } else {
         evaluate_impl(in, now, out);
     }
-    if (policy_->per_die_uncore()) {
-        fill_die_uncore(in, out);
-    } else {
-        out.die_uncore_frequency.clear();
-    }
+    fill_die_uncore(in, out);
 }
 
 void PcuController::apply_hwp(PcuInputs& in) const {
@@ -150,6 +161,10 @@ void PcuController::fill_die_uncore(const PcuInputs& in, PcuOutputs& out) const 
     // Two sub-NUMA clusters: low core IDs on die 0, high on die 1. A die
     // with no running core parks its uncore at the minimum; an active die
     // follows its own fastest core but never exceeds the package grant.
+    if (!policy_->per_die_uncore()) {
+        out.die_uncore_frequency.clear();
+        return;
+    }
     const std::size_t half = (in.cores.size() + 1) / 2;
     out.die_uncore_frequency.assign(2, sku_->uncore_min);
     if (out.uncore_clock_halted) return;
@@ -174,14 +189,23 @@ void PcuController::evaluate_impl(const PcuInputs& in, Time now, PcuOutputs& out
     ++tick_count_;
     const std::size_t n = in.cores.size();
 
-    // --- AVX license state machines, then each core's memo key: a changed
+    // --- AVX license state machines, first caught up with the steady ticks
+    // that skipped their idle updates, then each core's memo key: a changed
     // key gets a new stamp, which invalidates the core's memoized terms ---
+    if (held_) {
+        for (AvxLicenseLevels& l : licenses_) l.hold(held_at_);
+        held_ = false;
+    }
     const bool avx512_capable = policy_->max_license_level() >= 2;
+    bool licenses_idle = true;
+    Time ramp_end = Time::zero();
     for (std::size_t i = 0; i < n; ++i) {
         const bool running = in.cores[i].state == cstates::CState::C0;
         licenses_[i].update(running ? in.cores[i].avx_fraction : 0.0,
                             running && avx512_capable ? in.cores[i].avx512_fraction : 0.0,
                             now);
+        licenses_idle = licenses_idle && licenses_[i].idle();
+        ramp_end = std::max(ramp_end, licenses_[i].ramp_end());
         CoreKey& k = core_keys_[i];
         bool same = keep(k.cdyn, in.cores[i].cdyn_utilization);
         same &= keep(k.state, in.cores[i].state);
@@ -205,6 +229,7 @@ void PcuController::evaluate_impl(const PcuInputs& in, Time now, PcuOutputs& out
 
     // --- Passive socket / fully idle system ---
     if (n_active == 0) {
+        steady_ok_ = false;  // its uncore alternates with the tick parity
         const UncoreRatioLimit msr_limit =
             decode_uncore_ratio_limit(in.uncore_ratio_limit_raw);
         UfsInputs ufs{
@@ -257,28 +282,58 @@ void PcuController::evaluate_impl(const PcuInputs& in, Time now, PcuOutputs& out
     // --- The search, replayed when its inputs match the last tick's ---
     if (!refresh_search_key(in)) {
         search_ = search(in, n_active, max_stall, turbo_requested);
-        ++search_count_;
+        ++g_tick_counts.searched;
+        grant_sets_valid_ = false;
     }
-    const Search& s = search_;
+    steady_ok_ = licenses_idle;
+    ramp_end_ = ramp_end;
+    max_stall_ = max_stall;
+    assemble(dither_step(), now, out);
+}
 
-    // --- Dither: the operating point alternates between `lo` and `hi`,
-    // weighted so the *average* power equals the budget. This is what yields
-    // the paper's fractional frequencies (core 2.30-2.35 with uncore ~= core
-    // in Table IV's turbo/2.5/2.4 rows). ---
-    bool take_hi = false;
-    if (s.dither) {
-        double& accum = s.core_dither ? core_dither_accum_ : uncore_dither_accum_;
-        accum += s.alpha;
-        if (accum >= 1.0) {
-            accum -= 1.0;
-            take_hi = true;
+bool PcuController::evaluate_steady(const PcuInputs& in, Time now, PcuOutputs& out) {
+    if (!steady_ok_ || !search_valid_ || now < ramp_end_) return false;
+    const bool eet_poll = now - last_eet_poll_ >= cal::kEetPollPeriod;
+    if (eet_poll && !same_bits(max_stall_, eet_stall_snapshot_)) return false;
+    ++tick_count_;
+    ++g_tick_counts.evaluated;
+    if (eet_poll) last_eet_poll_ = now;
+    held_ = true;
+    held_at_ = now;
+    if (!grant_sets_valid_) {
+        // Past every ramp end, each throughput factor is 1.0 now and on
+        // every later tick, so the grants depend only on the point.
+        for (unsigned hi = 0; hi < (search_.dither ? 2u : 1u); ++hi) {
+            assemble(hi == 1, now, grant_sets_[hi]);
+            fill_die_uncore(in, grant_sets_[hi]);
         }
+        grant_sets_valid_ = true;
     }
-    const Ratios& ratios = take_hi ? s.hi : s.lo;
-    const Frequency uncore = take_hi ? s.uncore_hi : s.uncore_lo;
+    out = grant_sets_[dither_step() ? 1 : 0];
+    return true;
+}
 
-    // --- Assemble grants ---
-    for (std::size_t i = 0; i < n; ++i) {
+// --- Dither: the operating point alternates between `lo` and `hi`,
+// weighted so the *average* power equals the budget. This is what yields
+// the paper's fractional frequencies (core 2.30-2.35 with uncore ~= core
+// in Table IV's turbo/2.5/2.4 rows). ---
+bool PcuController::dither_step() {
+    const Search& s = search_;
+    if (!s.dither) return false;
+    double& accum = s.core_dither ? core_dither_accum_ : uncore_dither_accum_;
+    accum += s.alpha;
+    if (accum >= 1.0) {
+        accum -= 1.0;
+        return true;
+    }
+    return false;
+}
+
+void PcuController::assemble(bool hi, Time now, PcuOutputs& out) const {
+    const Search& s = search_;
+    const Ratios& ratios = hi ? s.hi : s.lo;
+    const Frequency uncore = hi ? s.uncore_hi : s.uncore_lo;
+    for (std::size_t i = 0; i < out.cores.size(); ++i) {
         const Frequency f = Frequency::from_ratio(ratios[i]);
         const unsigned level = licenses_[i].level();
         out.cores[i] = CoreGrant{
@@ -293,7 +348,7 @@ void PcuController::evaluate_impl(const PcuInputs& in, Time now, PcuOutputs& out
     out.uncore_frequency = uncore;
     out.uncore_voltage = uncore_curve_.voltage_for(uncore);
     out.uncore_clock_halted = false;
-    out.estimated_package_power = take_hi ? s.power_hi : s.power_lo;
+    out.estimated_package_power = hi ? s.power_hi : s.power_lo;
 }
 
 bool PcuController::refresh_search_key(const PcuInputs& in) {

@@ -90,6 +90,13 @@ struct PcuOutputs {
     std::vector<Frequency> die_uncore_frequency;
 };
 
+/// Opportunity-grid work done on one thread, by every controller on it.
+struct TickCounts {
+    std::uint64_t evaluated = 0;  // evaluations, steady or full
+    std::uint64_t gathered = 0;   // full evaluations, each over gathered inputs
+    std::uint64_t searched = 0;   // full evaluations that ran the search
+};
+
 class PcuController {
 public:
     /// Most cores per socket a controller handles (the largest modelled
@@ -110,6 +117,14 @@ public:
         evaluate(in, now, out);
         return out;
     }
+    /// The evaluation at `now` of inputs bit-identical to the last
+    /// evaluate()'s `in`, from state that evaluation stored: the EET poll,
+    /// the dither step and a copy of a stored grant set. Returns false and
+    /// changes nothing unless that evaluation took the active path, its
+    /// search is still stored, every license machine is idle and past its
+    /// ramp, and an EET poll due now would keep the stall snapshot. Then
+    /// `out` equals what evaluate() would write, bit for bit.
+    [[nodiscard]] bool evaluate_steady(const PcuInputs& in, Time now, PcuOutputs& out);
 
     /// Model-estimated package power for a hypothetical operating point.
     /// This is the unmemoized reference: the budget loop sums the same
@@ -121,13 +136,18 @@ public:
     [[nodiscard]] const arch::Sku& sku() const { return *sku_; }
     [[nodiscard]] unsigned socket_id() const { return socket_id_; }
 
+    /// Evaluations by every controller on the calling thread since thread
+    /// start. The experiment engine samples it around a job, like
+    /// sim::Simulator::thread_events_processed().
+    [[nodiscard]] static TickCounts thread_tick_counts();
+
     /// Effective power budget after the peak-current guardband: very
     /// current-intense code (LINPACK) is budgeted below TDP, which is why
     /// it shows both lower frequency and lower power in Table V.
     [[nodiscard]] Power effective_budget(double current_intensity) const;
 
 private:
-    friend struct PcuControllerTestPeer;  // clears the carry, counts searches
+    friend struct PcuControllerTestPeer;  // clears the carry
 
     using Ratios = std::array<unsigned, kMaxCores>;
     /// Ratios 0..kMemoRatios-1 are memoized (turbo tops out near 40).
@@ -192,13 +212,19 @@ private:
     /// active socket: a pure function of the SearchKey.
     [[nodiscard]] Search search(const PcuInputs& in, unsigned n_active, double max_stall,
                                 bool turbo_requested);
+    /// Advances the stored search's dither; true when it picks `hi`.
+    [[nodiscard]] bool dither_step();
+    /// The grants at the stored search's `hi` or `lo` point, with each
+    /// license's throughput factor at `now`, into `out` (sized).
+    void assemble(bool hi, Time now, PcuOutputs& out) const;
     /// Forgets every carried term and search result.
     void clear_carry();
     /// Resolve IA32_HWP_REQUEST windows into per-core requested ratios and
     /// an effective bias tier (the minimum EPP over active cores wins).
     void apply_hwp(PcuInputs& in) const;
     /// Split the package uncore grant into per-die grants (idle die parks
-    /// at the minimum; an active die never exceeds the package grant).
+    /// at the minimum; an active die never exceeds the package grant), or
+    /// clear them for a policy with one package-wide uncore clock.
     void fill_die_uncore(const PcuInputs& in, PcuOutputs& out) const;
     [[nodiscard]] Voltage core_voltage(unsigned core, Frequency f, unsigned level) const;
     /// One core's power term at `ratio` (the summand of the estimate).
@@ -222,8 +248,19 @@ private:
     SearchKey search_key_;
     Search search_;
     bool search_valid_ = false;  // no search stored yet, or clear_carry() ran
-    std::uint64_t search_count_ = 0;  // evaluations that ran search()
     PcuInputs hwp_inputs_;         // reused copy with HWP requests resolved
+    // What the last full evaluation leaves for evaluate_steady().
+    bool steady_ok_ = false;  // it took the active path with every license idle
+    Time ramp_end_;           // the latest license ramp end it saw
+    double max_stall_ = 0.0;  // its stall input, the value an EET poll would take
+    // Steady ticks skip the license updates; the next full evaluation first
+    // holds every license at the last steady tick (AvxLicenseLevels::hold).
+    bool held_ = false;
+    Time held_at_;
+    // The stored search's lo and hi grants, built at the first steady tick
+    // after a search and copied out on every steady tick until the next.
+    std::array<PcuOutputs, 2> grant_sets_;
+    bool grant_sets_valid_ = false;
     double core_dither_accum_ = 0.0;
     double uncore_dither_accum_ = 0.0;
     std::uint64_t tick_count_ = 0;

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+
 #include "core/node.hpp"
 #include "msr/addresses.hpp"
+#include "util/rng.hpp"
 #include "workloads/mixes.hpp"
 
 namespace hsw::core {
@@ -189,6 +193,51 @@ TEST(Node, EighteenCoreSkuWorks) {
     node.set_all_workloads(&workloads::compute(), 1);
     node.run_for(Time::ms(10));
     EXPECT_GT(node.msrs().read(17, msr::IA32_FIXED_CTR0), 0u);
+}
+
+// Socket::any_core_active() reads a count that run_workload, park and wake
+// keep; it must agree with the cores' states after every one of them,
+// including a wake of a running core and a park of a parked one.
+TEST(Node, ActiveCoreCountMatchesCoreStates) {
+    Node node;
+    Socket& socket = node.socket(1);
+    auto scan = [&socket] {
+        return std::any_of(socket.cores().begin(), socket.cores().end(),
+                           [](const SimCore& c) { return c.state == cstates::CState::C0; });
+    };
+    ASSERT_FALSE(socket.any_core_active());
+    socket.run_workload(4, &workloads::compute(), 1);
+    EXPECT_TRUE(socket.any_core_active());
+    socket.wake(4);  // already running
+    EXPECT_TRUE(socket.any_core_active());
+    socket.park(4, cstates::CState::C6);
+    EXPECT_FALSE(socket.any_core_active());
+    socket.park(4, cstates::CState::C3);  // already parked
+    EXPECT_FALSE(socket.any_core_active());
+    socket.wake(4);
+    EXPECT_TRUE(socket.any_core_active());
+    socket.park(4, cstates::CState::C1);
+    EXPECT_FALSE(socket.any_core_active());
+
+    constexpr std::array kStates{cstates::CState::C0, cstates::CState::C1,
+                                 cstates::CState::C3, cstates::CState::C6};
+    // Three cores, parked half the time, so the socket goes idle often.
+    util::Rng rng{0xAC7};
+    unsigned idle = 0;
+    for (int op = 0; op < 2000; ++op) {
+        const auto core = static_cast<unsigned>(rng.uniform_u64(3));
+        switch (rng.uniform_u64(4)) {
+            case 0:
+                socket.run_workload(core, &workloads::firestarter(),
+                                    1 + static_cast<unsigned>(rng.uniform_u64(2)));
+                break;
+            case 3: socket.wake(core); break;
+            default: socket.park(core, kStates[rng.uniform_u64(kStates.size())]); break;
+        }
+        ASSERT_EQ(socket.any_core_active(), scan()) << "after operation " << op;
+        idle += scan() ? 0 : 1;
+    }
+    EXPECT_GT(idle, 20u);
 }
 
 }  // namespace

@@ -158,18 +158,34 @@ TEST(GoldenArtifacts, TablesFourAndFiveMatchCommittedCsvsByteForByte) {
     EXPECT_EQ(csvs, 2u);
 }
 
+// Each computed job also carries its worker's PCU tick counts, and the
+// summary prints their sums below the event count.
 TEST(GoldenArtifacts, JobsReportSimEventsForComputedWork) {
     const RunReport report = regenerate(4);
     ASSERT_TRUE(report.ok());
     std::uint64_t total_events = 0;
+    std::uint64_t evaluated = 0;
+    std::uint64_t gathered = 0;
+    std::uint64_t searched = 0;
     for (const JobStats& j : report.jobs) {
         EXPECT_FALSE(j.cache_hit);  // no cache dir configured
         total_events += j.sim_events;
         if (j.sim_events > 0) {
             EXPECT_GT(j.events_per_sec, 0.0) << j.point;
         }
+        EXPECT_LE(j.pcu_gathered, j.pcu_evaluated) << j.point;
+        EXPECT_LE(j.pcu_searched, j.pcu_gathered) << j.point;
+        evaluated += j.pcu_evaluated;
+        gathered += j.pcu_gathered;
+        searched += j.pcu_searched;
     }
     EXPECT_GT(total_events, 0u);
+    EXPECT_GT(evaluated, gathered);  // some ticks took the steady path
+    EXPECT_GT(searched, 0u);
+    const std::string line = "pcu-ticks: " + std::to_string(evaluated) + " evaluated, " +
+                             std::to_string(gathered) + " gathered, " +
+                             std::to_string(searched) + " searched\n";
+    EXPECT_NE(report.summary().find(line), std::string::npos) << report.summary();
 }
 
 }  // namespace

@@ -16,12 +16,9 @@
 namespace hsw::pcu {
 
 /// Test seam: drops the controller's cross-tick carry (memoized core terms
-/// and the stored search), so its next evaluation computes everything; and
-/// reads how many evaluations ran, and how many of them searched.
+/// and the stored search), so its next evaluation computes everything.
 struct PcuControllerTestPeer {
     static void clear_carry(PcuController& pcu) { pcu.clear_carry(); }
-    static std::uint64_t ticks(const PcuController& pcu) { return pcu.tick_count_; }
-    static std::uint64_t searches(const PcuController& pcu) { return pcu.search_count_; }
 };
 
 namespace {
@@ -351,14 +348,16 @@ void change_key_field(util::Rng& rng, const arch::Sku& sku, PcuInputs& in, unsig
 }
 constexpr unsigned kKeyFields = 14;
 
-// The carry -- core terms memoized across ticks and the replayed search --
-// must be invisible: tick by tick, a controller that keeps it matches a copy
-// whose carry is cleared before every evaluation. Each input holds for 1-16
-// ticks, so the carry hits; then exactly one input changes, cycling through
-// every key field, which must miss and refill, and the fastest system core,
-// which an active socket must replay across. A loaded start (every
-// core running a FIRESTARTER-like turbo request) is TDP-bound, so the
-// budget and EET's turbo demotion decide grants there.
+// The carry -- core terms memoized across ticks, the replayed search and the
+// steady evaluation -- must be invisible: tick by tick, a controller that
+// keeps it matches a copy whose carry is cleared before every evaluation.
+// Each input holds for 1-16 ticks, so the carry hits, and the carried
+// controller tries evaluate_steady() first on every held tick; then exactly
+// one input changes, cycling through every key field, which must miss and
+// refill, and the fastest system core, which an active socket must replay
+// across. A loaded start (every core running a FIRESTARTER-like turbo
+// request) is TDP-bound, so the budget and EET's turbo demotion decide
+// grants there.
 TEST(PcuController, CarriedSearchMatchesAFullSearch) {
     struct Case {
         arch::Generation generation;
@@ -389,12 +388,18 @@ TEST(PcuController, CarriedSearchMatchesAFullSearch) {
                 PcuOutputs a;
                 PcuOutputs b;
                 Time t = Time::zero();
+                unsigned steady = 0;
                 for (unsigned tick = 0, field = 0; tick < 2000; ++field) {
                     const auto hold = 1 + rng.uniform_u64(16);
                     for (std::uint64_t h = 0; h < hold; ++h, ++tick) {
                         t += Time::us(500);
-                        carried.evaluate(in, t, a);
+                        if (h > 0 && carried.evaluate_steady(in, t, a)) {
+                            ++steady;
+                        } else {
+                            carried.evaluate(in, t, a);
+                        }
                         PcuControllerTestPeer::clear_carry(cleared);
+                        ASSERT_FALSE(cleared.evaluate_steady(in, t, b));  // nothing stored
                         cleared.evaluate(in, t, b);
                         ASSERT_EQ(first_difference(a, b), "")
                             << backend.name() << " limit=" << power_limit << " loaded=" << loaded
@@ -403,16 +408,48 @@ TEST(PcuController, CarriedSearchMatchesAFullSearch) {
                     }
                     change_key_field(rng, sku, in, field % kKeyFields);
                 }
+                EXPECT_GT(steady, 100u) << backend.name() << " limit=" << power_limit
+                                        << " loaded=" << loaded;
             }
         }
     }
 }
 
+// An AVX license raise throttles execution for its 10 us voltage ramp.
+// Ticks 2 us apart reach inside it: a steady evaluation must refuse until
+// the ramp has ended, then match full evaluations again.
+TEST(PcuController, SteadyTickWaitsOutTheLicenseRamp) {
+    PcuController steady{arch::xeon_e5_2680_v3(), 0};
+    PcuController full = steady;
+    const PcuInputs in = firestarter_inputs(arch::xeon_e5_2680_v3().nominal_frequency.ratio());
+    PcuOutputs a;
+    PcuOutputs b;
+    Time t = Time::ms(1);
+    steady.evaluate(in, t, a);  // raises every core's license
+    full.evaluate(in, t, b);
+    ASSERT_LT(a.cores[0].throughput_factor, 1.0);
+    unsigned steady_ticks = 0;
+    for (int tick = 0; tick < 20; ++tick) {
+        t += Time::us(2);
+        const bool took = steady.evaluate_steady(in, t, a);
+        if (took) {
+            ++steady_ticks;
+        } else {
+            steady.evaluate(in, t, a);
+        }
+        full.evaluate(in, t, b);
+        EXPECT_EQ(took, t >= Time::ms(1) + Time::us(10)) << "tick " << tick;
+        ASSERT_EQ(first_difference(a, b), "") << "tick " << tick;
+    }
+    EXPECT_GT(steady_ticks, 0u);
+}
+
 // On a steady TDP-bound Table V cell (FIRESTARTER, turbo request, EPB
 // performance, one thread per core) only the dither moves from tick to
 // tick, and it moves no search input, so nearly every tick replays the
-// stored search. A key that held the system's fastest core would miss
-// whenever either socket's dither flipped.
+// stored search, and nearly every tick gathers nothing at all. A key that
+// held the system's fastest core would miss whenever either socket's
+// dither flipped.
 TEST(PcuController, SearchReplaysOnSteadyTicks) {
     core::Node node;
     node.set_epb(msr::EpbPolicy::Performance);
@@ -420,22 +457,21 @@ TEST(PcuController, SearchReplaysOnSteadyTicks) {
     node.request_turbo_all();
     node.run_for(Time::ms(100));  // settle, as the Table V cell does
 
-    std::uint64_t ticks = 0;
-    std::uint64_t searches = 0;
-    for (unsigned s = 0; s < node.socket_count(); ++s) {
-        ticks -= PcuControllerTestPeer::ticks(node.socket(s).pcu());
-        searches -= PcuControllerTestPeer::searches(node.socket(s).pcu());
-    }
+    const TickCounts before = PcuController::thread_tick_counts();
     node.run_for(Time::sec(2));
+    const TickCounts after = PcuController::thread_tick_counts();
     for (unsigned s = 0; s < node.socket_count(); ++s) {
-        ticks += PcuControllerTestPeer::ticks(node.socket(s).pcu());
-        searches += PcuControllerTestPeer::searches(node.socket(s).pcu());
         // No core ever leaves C0, so every tick was an active one.
         EXPECT_TRUE(node.socket(s).any_core_active());
     }
+    const std::uint64_t ticks = after.evaluated - before.evaluated;
+    const std::uint64_t gathered = after.gathered - before.gathered;
+    const std::uint64_t searches = after.searched - before.searched;
     ASSERT_GT(ticks, 7000u);  // two sockets x 2 s on the 500 us grid
     EXPECT_LT(static_cast<double>(searches), 0.01 * static_cast<double>(ticks))
         << searches << " searches in " << ticks << " active ticks";
+    EXPECT_GE(static_cast<double>(ticks - gathered), 0.95 * static_cast<double>(ticks))
+        << gathered << " of " << ticks << " ticks gathered";
 }
 
 }  // namespace
